@@ -1,10 +1,14 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test bench perf-smoke smoke-trace serve-smoke report lint check certify ranges chaos-smoke chaos-multi perfgate perfgate-rebaseline ci clean
+.PHONY: test layerbench bench perf-smoke smoke-trace serve-smoke report lint check certify ranges chaos-smoke chaos-multi perfgate perfgate-rebaseline ci clean
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/ -q
+
+# The repository benchmark's self-tests (layerbench/, outside tier-1's tests/).
+layerbench:
+	$(PYTHON) -m pytest layerbench -q
 
 # Static analysis gate.  Uses ruff + mypy when the [lint] extra is
 # installed; otherwise falls back to the committed stdlib checker so the
@@ -78,7 +82,7 @@ perfgate-rebaseline:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro perfgate --repeats 3 --rebaseline
 
 # Full local CI chain, in the order a reviewer would want failures surfaced.
-ci: lint test smoke-trace check certify ranges serve-smoke chaos-smoke chaos-multi perfgate
+ci: lint test layerbench smoke-trace check certify ranges serve-smoke chaos-smoke chaos-multi perfgate
 
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -31,9 +31,10 @@ class CSRProblem:
     csr: CSR
     program: VertexProgram
     vertex_values: np.ndarray
-    static_values: np.ndarray | None
+    slot_static: np.ndarray | None  # source's static record, CSR slot order
     edge_values: np.ndarray | None  # CSR slot order
     destinations: np.ndarray  # per CSR slot, int64
+    sources: np.ndarray  # per CSR slot, int64
 
     @classmethod
     def build(
@@ -43,9 +44,10 @@ class CSRProblem:
 
         The CSR arrays and the per-slot destination map depend only on the
         graph's topology, so they are cached by fingerprint (see
-        :mod:`repro.cache`); the value arrays depend on the program and the
-        graph's weights and are always built fresh.  ``cache=False``
-        disables the memo.
+        :mod:`repro.cache`); the per-slot sources and the value arrays are
+        built fresh, once per run, in CSR slot order (static records are
+        gathered through the sources here, not in every chunk).
+        ``cache=False`` disables the memo.
         """
         resolved = resolve_cache(cache)
         if resolved is not None:
@@ -58,14 +60,17 @@ class CSRProblem:
         else:
             csr = CSR.from_graph(graph)
             destinations = csr.destinations().astype(np.int64)
+        sources = csr.src_indxs.astype(np.int64)
+        sv = program.static_values(graph)
         ev = program.edge_values(graph)
         return cls(
             csr=csr,
             program=program,
             vertex_values=program.initial_values(graph),
-            static_values=program.static_values(graph),
+            slot_static=None if sv is None else sv[sources],
             edge_values=None if ev is None else csr.gather_edge_values(ev),
             destinations=destinations,
+            sources=sources,
         )
 
 
@@ -82,11 +87,10 @@ def run_chunk(problem: CSRProblem, a: int, b: int) -> tuple[np.ndarray, int]:
     local = prog.init_local(old)
     ops = 0
     if hi > lo:
-        srcs = problem.csr.src_indxs[lo:hi].astype(np.int64)
         dests = problem.destinations[lo:hi]
         msgs, mask = prog.messages(
-            vv[srcs],
-            None if problem.static_values is None else problem.static_values[srcs],
+            vv[problem.sources[lo:hi]],
+            None if problem.slot_static is None else problem.slot_static[lo:hi],
             None if problem.edge_values is None else problem.edge_values[lo:hi],
             vv[dests],
         )

@@ -30,8 +30,10 @@ its destination-vertex slice and write-backs are deferred to the iteration
 boundary, *all* shards in an iteration are independent: the fast path
 (default) evaluates the whole iteration in one vectorized step and recovers
 the per-chunk stats — and therefore the identical per-chunk compute times
-feeding the overlap model — from segmented pricing.  ``"reference"`` keeps
-the original per-shard chunk loop.
+feeding the overlap model — from segmented pricing.  It reads sources live
+from ``VertexValues`` and prices the CW write-back without executing it
+(the write-back only restores ``SrcValue == VertexValues[SrcIndex]``).
+``"reference"`` keeps the original per-shard chunk loop.
 """
 
 from __future__ import annotations
@@ -62,6 +64,16 @@ from repro.placement import multi_device_run
 from repro.telemetry.metrics import publish_kernel_stats
 
 __all__ = ["StreamedCuShaEngine"]
+
+
+def _counts_between(mask: np.ndarray | None, bounds: np.ndarray) -> np.ndarray:
+    """Set entries of ``mask`` in each range ``bounds[k]:bounds[k + 1]``
+    (all entries when ``mask`` is ``None``); an empty range counts 0."""
+    if mask is None:
+        return np.diff(bounds)
+    run = np.zeros(mask.size + 1, dtype=np.int64)
+    np.cumsum(mask, out=run[1:])
+    return run[bounds[1:]] - run[bounds[:-1]]
 
 
 class StreamedCuShaEngine(Engine):
@@ -262,26 +274,26 @@ class StreamedCuShaEngine(Engine):
         # Host-side state (the "disk" copy); device residency is modeled.
         vertex_values = config.initial_values(graph, program)
         static_all = program.static_values(graph)
-        src_value = vertex_values[sh.src_index].copy()
         src_static = None if static_all is None else static_all[sh.src_index]
         ev = program.edge_values(graph)
         edge_vals = None if ev is None else ev[sh.edge_positions]
 
         dest_global = bundle.dest_global
+        # Sources are read live, VertexValues[SrcIndex]; one int64 copy per
+        # run (not cached: it would be duplicated in every layout's bundle).
+        src_global = sh.src_index.astype(np.int64)
         chunk_static = bundle.chunk_static
         wb_mat = bundle.writeback
-        # Entry->chunk and shard->chunk maps for attributing the dynamic
-        # stats (atomic ops, conditional stores) back to their chunk.
-        chunk_entry_sizes = np.array(
-            [int(sh.shard_offsets[b] - sh.shard_offsets[a]) for a, b in chunks],
-            dtype=np.int64,
-        )
-        entry_chunk = np.repeat(np.arange(C, dtype=np.int64), chunk_entry_sizes)
+        # Chunk entry bounds and the shard->chunk map for attributing the
+        # dynamic stats (atomic ops, conditional stores) back to their chunk.
+        chunk_entry_bounds = sh.shard_offsets[
+            [a for a, _ in chunks] + [S]
+        ].astype(np.int64)
         shard_chunk = np.repeat(
             np.arange(C, dtype=np.int64),
             np.array([b - a for a, b in chunks], dtype=np.int64),
         )
-        chunk_byte_sizes = chunk_entry_sizes * entry_bytes
+        chunk_byte_sizes = np.diff(chunk_entry_bounds) * entry_bytes
         shard_entry_sizes = np.diff(sh.shard_offsets)
         shard_byte_sizes = shard_entry_sizes * entry_bytes
         total_entries = int(sh.shard_offsets[-1])
@@ -390,7 +402,7 @@ class StreamedCuShaEngine(Engine):
                     old = vertex_values[v_idx]
                     local = program.init_local(old)
                     msgs, mask = program.messages(
-                        src_value[e_idx],
+                        vertex_values[src_global[e_idx]],
                         None if src_static is None else src_static[e_idx],
                         None if edge_vals is None else edge_vals[e_idx],
                         old[dest_sub],
@@ -399,11 +411,10 @@ class StreamedCuShaEngine(Engine):
                         program, local, dest_sub, msgs, mask,
                         track_changed=track,
                     )
-                    ec = entry_chunk[e_idx]
-                    if mask is None:
-                        masked_per_chunk = np.bincount(ec, minlength=C)
-                    else:
-                        masked_per_chunk = np.bincount(ec[mask], minlength=C)
+                    # e_idx ascends, so each chunk is one run of it.
+                    masked_per_chunk = _counts_between(
+                        mask, np.searchsorted(e_idx, chunk_entry_bounds)
+                    )
                 else:
                     if frontier_on:  # pull: dense sweep over everything
                         frontier.dirty[:] = False
@@ -415,19 +426,16 @@ class StreamedCuShaEngine(Engine):
                     # evaluation is bit-identical to the per-chunk loop.
                     local = program.init_local(vertex_values)
                     msgs, mask = program.messages(
-                        src_value, src_static, edge_vals,
+                        vertex_values[src_global], src_static, edge_vals,
                         vertex_values[dest_global],
                     )
                     ops_total, changed = apply_reductions(
                         program, local, dest_global, msgs, mask,
                         track_changed=track,
                     )
-                    if mask is None:
-                        masked_per_chunk = chunk_entry_sizes
-                    else:
-                        masked_per_chunk = np.bincount(
-                            entry_chunk[mask], minlength=C
-                        )
+                    masked_per_chunk = _counts_between(
+                        mask, chunk_entry_bounds
+                    )
                 if track and changed is not None:
                     active_vertices = int(changed.sum())
                 n_fields = len(msgs)
@@ -516,25 +524,18 @@ class StreamedCuShaEngine(Engine):
                             iteration=iteration, chunk=k,
                         )
                 assert ops_total == int(ops_per_chunk.sum())
-                # Write-back (CW) is applied once per iteration after all
-                # chunks ran: cross-chunk staging semantics (BSP across
-                # chunks).  The updated shards' mapper slots are disjoint,
-                # so one batched scatter matches the per-shard loop.
+                # Write-back (CW) runs once per iteration after all chunks
+                # (BSP across chunks).  It is priced, not executed: it would
+                # leave SrcValue == VertexValues[SrcIndex], which is what the
+                # next iteration reads live.
                 if upd_shards.size:
-                    pos = multi_arange(
-                        cw.cw_offsets[upd_shards],
-                        cw.cw_offsets[upd_shards + 1],
-                    )
-                    src_value[cw.mapper[pos]] = vertex_values[
-                        cw.cw_src_index[pos]
-                    ]
                     wb_stats = stats_from_row(wb_mat[upd_shards].sum(axis=0))
                 else:
                     wb_stats = KernelStats()
                 wb_ms = self.cost_model.time_ms(wb_stats)
                 iter_stats += wb_stats
                 if frontier_on:
-                    # Iteration-end flush: src_value now carries the new
+                    # Iteration-end flush: sources now read the new
                     # values, so mark the updaters' shards and everything
                     # they influence (all marks survive under BSP).
                     last_mask[idx] = True

@@ -12,8 +12,7 @@ shard count ``S`` is large.  This module provides the batched equivalents:
   O(S) setup loop of ``cusha.py`` / ``streamed.py`` evaluated without a
   Python-level shard loop (and cacheable across runs, see
   :mod:`repro.cache`);
-- :func:`multi_arange` — concatenated index ranges for batched CW
-  write-backs.
+- :func:`multi_arange` — concatenated index ranges for frontier gathers.
 
 Everything here is **equivalence-gated**: every quantity is integer-valued
 (the ``INSTR_*`` costs are integers and lane-slot totals are warp

@@ -7,6 +7,8 @@ same iteration count, same per-stage breakdowns — on every engine, program,
 and sync-mode combination.  Any drift, even a single transaction, fails.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,9 +72,28 @@ class TestCuShaMatrix:
         _assert_equivalent(fast, ref, program_name)
 
     def test_always_writeback_ablation(self, graph):
-        eng = CuShaEngine("cw", vertices_per_shard=64, always_writeback=True)
-        fast, ref = _run_both(eng, graph, "pr", max_iterations=30)
-        _assert_equivalent(fast, ref)
+        # The fast path reads sources live and only prices stage 4, so a
+        # write-back the reference loop executes but the fast path drops
+        # must not change a value or a stat.  1024-thread blocks fit two
+        # per SM, so "wave" runs 75 shards in four waves of 24.
+        for mode, sync_mode, frontier, program_name in itertools.product(
+            ("gs", "cw"), ("wave", "async", "bsp"), ("off", "sparse"),
+            ("pr", "sssp"),
+        ):
+            label = (mode, sync_mode, frontier, program_name)
+            eng = CuShaEngine(
+                mode, vertices_per_shard=16, threads_per_block=1024,
+                sync_mode=sync_mode, always_writeback=True,
+            )
+            fast, ref = (
+                eng.run(graph, make_program(program_name, graph),
+                        config=RunConfig(exec_path=path, frontier=frontier,
+                                         allow_partial=True, max_iterations=30))
+                for path in ("fast", "reference")
+            )
+            _assert_equivalent(fast, ref, label)
+            assert fast.edges_processed == ref.edges_processed, label
+            assert fast.shards_skipped == ref.shards_skipped, label
 
     def test_stage_spans_identical(self, graph):
         eng = CuShaEngine("gs", vertices_per_shard=128)
@@ -90,7 +111,8 @@ class TestCuShaMatrix:
         for a, b in zip(sf, sr):
             assert a.name == b.name
             assert a.model_ms == b.model_ms
-            assert a.attrs.get("stats") == b.attrs.get("stats")
+            assert a.stats == b.stats
+            assert (a.stats is not None) == (a.kind == "stage")
 
 
 class TestStreamedMatrix:
@@ -106,24 +128,32 @@ class TestStreamedMatrix:
         assert fast.num_chunks == ref.num_chunks
 
     def test_chunked_overlap_model_identical(self, graph):
+        # sssp masks its messages, so the per-chunk atomic counts come from
+        # the masked-count path; "sparse" gathers a subset of the entries.
         eng = StreamedCuShaEngine(
             device_memory_bytes=32 * 1024, vertices_per_shard=64
         )
-        tf, tr = Tracer(), Tracer()
-        fast = eng.run(graph, make_program("cc", graph), config=RunConfig(
-            exec_path="fast", tracer=tf, allow_partial=True,
-            max_iterations=25))
-        ref = eng.run(graph, make_program("cc", graph), config=RunConfig(
-            exec_path="reference", tracer=tr, allow_partial=True,
-            max_iterations=25))
-        _assert_equivalent(fast, ref)
-        # Per-chunk compute spans drive the overlap model: compare each.
-        cf = [s for s in tf.spans if s.name.startswith("chunk-")]
-        cr = [s for s in tr.spans if s.name.startswith("chunk-")]
-        assert len(cf) == len(cr) > 0
-        for a, b in zip(cf, cr):
-            assert (a.name, a.model_ms) == (b.name, b.model_ms)
-            assert a.attrs.get("stats") == b.attrs.get("stats")
+        for program_name, frontier in itertools.product(
+            ("cc", "sssp"), ("off", "sparse")
+        ):
+            label = (program_name, frontier)
+            tf, tr = Tracer(), Tracer()
+            fast, ref = (
+                eng.run(graph, make_program(program_name, graph),
+                        config=RunConfig(exec_path=path, tracer=t,
+                                         frontier=frontier, allow_partial=True,
+                                         max_iterations=25))
+                for path, t in (("fast", tf), ("reference", tr))
+            )
+            _assert_equivalent(fast, ref, label)
+            # Per-chunk compute spans drive the overlap model: compare each.
+            cf = [s for s in tf.spans if s.name.startswith("chunk-")]
+            cr = [s for s in tr.spans if s.name.startswith("chunk-")]
+            assert len(cf) == len(cr) > 0, label
+            for a, b in zip(cf, cr):
+                assert (a.name, a.model_ms) == (b.name, b.model_ms), label
+                assert a.stats == b.stats, label
+                assert (a.stats is not None) == a.name.endswith("-compute")
 
 
 class TestEdgeCases:
