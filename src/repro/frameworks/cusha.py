@@ -54,8 +54,7 @@ from repro.cache import graph_fingerprint, resolve_cache
 from repro.frameworks import costs
 from repro.frameworks.base import (ConvergenceError, Engine, IterationTrace,
                                    RunConfig, RunResult)
-from repro.frameworks.frontier import (ShardFrontier, choose_direction,
-                                       vertex_influence_csr)
+from repro.frameworks.frontier import ShardFrontier, vertex_influence_csr
 from repro.frameworks.wavebatch import (add_row_into, cusha_static_bundle,
                                         multi_arange, stats_from_row,
                                         STAT_FIELDS)
@@ -444,11 +443,8 @@ class CuShaEngine(Engine):
                 if frontier_on:
                     program.begin_iteration(iteration)
                     if config.frontier == "auto":
-                        active_edges = int(
-                            entries_per_shard[frontier.dirty].sum()
-                        )
-                        direction = choose_direction(
-                            active_edges, total_entries
+                        direction = frontier.direction(
+                            entries_per_shard, total_entries
                         )
                     else:
                         direction = "push"
@@ -488,8 +484,7 @@ class CuShaEngine(Engine):
                             s1_row += st1m[a:b].sum(axis=0)
                             s2_row += st2m[a:b].sum(axis=0)
                             s3_row += st3m[a:b].sum(axis=0)
-                    elif frontier_on:  # pull: dense sweep, clear everything
-                        frontier.dirty[a:b] = False
+                    elif frontier_on:  # pull: dense sweep, marks deferred
                         processed_shards += b - a
                     if sparse:
                         # Frontier gather: pack the active shards' vertex
@@ -599,13 +594,17 @@ class CuShaEngine(Engine):
                         # live from VertexValues, which equals the SrcValue
                         # the wave-boundary write-back would have left.
                         st4_row += st4_mat[wave_shards].sum(axis=0)
-                    if frontier_on and idx is not None:
+                    if push and idx is not None:
                         # Wave-boundary frontier marking: the updaters' own
                         # shards plus everything they influence (visible
                         # now that the wave's updates are in VertexValues).
                         frontier.mark(idx)
                 if push:
                     add_row_into(iter_stats, s1_row + s2_row + s3_row)
+                elif frontier_on:
+                    # Every shard ran: the bitmap is rebuilt from the mask
+                    # only if the next direction test needs it.
+                    frontier.defer(last_mask)
                 add_row_into(iter_stats, st4_row)
                 stage4_total_row += st4_row
                 if frontier_on:
@@ -963,11 +962,8 @@ class CuShaEngine(Engine):
                 if frontier_on:
                     program.begin_iteration(iteration)
                     if config.frontier == "auto":
-                        active_edges = int(
-                            entries_per_shard[frontier.dirty].sum()
-                        )
-                        direction = choose_direction(
-                            active_edges, total_entries
+                        direction = frontier.direction(
+                            entries_per_shard, total_entries
                         )
                     else:
                         direction = "push"

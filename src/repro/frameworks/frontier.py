@@ -41,6 +41,21 @@ updates, also in the mask, re-mark whatever is still live).  Checkpoints
 therefore store just the ``(n,)`` updated-vertex mask
 (:attr:`RunResult.frontier_mask`) and segmented runs rebuild the exact
 bitmap a continuous run would hold.
+
+**Deferred marks** (:meth:`ShardFrontier.defer`).  A pull iteration
+processes every unit, so the bitmap it leaves is exactly the resume rule
+applied to its updated-vertex mask, and nothing reads that bitmap before
+the next direction test.  Pull iterations therefore hand the mask over
+instead of marking, and :meth:`ShardFrontier.direction` resolves it
+lazily.  It first prices the updaters' own units: an own-unit mark always
+survives (``flush_pos[s] <= flush_pos[s]``), so they are a subset of the
+exact dirty set, and the edges they own are a lower bound on the exact
+frontier's edges.  If that bound already clears the pull threshold, the
+exact set would pull too, and the bitmap stays unresolved — the pull
+sweep that follows processes every unit regardless of it.  Only when the
+bound falls below the threshold is the bitmap rebuilt with
+:func:`resume_dirty`, and the choice is made on it exactly as an eager
+run would make it.  Push iterations keep marking live.
 """
 
 from __future__ import annotations
@@ -134,11 +149,14 @@ def resume_dirty(
 class ShardFrontier:
     """Live dirty bitmap + work counters for one frontier-gated run.
 
-    Engines call :meth:`active` to pick the units to process, :meth:`clear`
-    on the processed units, and :meth:`mark` with the genuinely updated
-    vertex indices at each write-back flush (self-units are marked here
-    too — the call sites coincide for every engine's flush discipline, see
-    the module docstring).
+    Engines call :meth:`direction` to choose the iteration's sweep,
+    :meth:`active` to pick the units a push processes, :meth:`clear` on the
+    processed units, and :meth:`mark` with the genuinely updated vertex
+    indices at each write-back flush (self-units are marked here too — the
+    call sites coincide for every engine's flush discipline, see the module
+    docstring).  A pull iteration calls :meth:`defer` once instead of
+    clearing and marking; while a mask is deferred, :attr:`dirty` is stale
+    and only :meth:`direction` may read it.
     """
 
     __slots__ = (
@@ -146,6 +164,8 @@ class ShardFrontier:
         "unit_size",
         "indptr",
         "targets",
+        "flush_pos",
+        "deferred",
         "edges_processed",
         "shards_skipped",
     )
@@ -170,8 +190,36 @@ class ShardFrontier:
         self.unit_size = unit_size
         self.indptr = indptr
         self.targets = targets
+        self.flush_pos = flush_pos
+        #: Updated-vertex mask of the last pull iteration, not yet resolved
+        #: into :attr:`dirty` (``None`` when the bitmap is live).
+        self.deferred: np.ndarray | None = None
         self.edges_processed = 0
         self.shards_skipped = 0
+
+    def direction(self, unit_edges: np.ndarray, total_edges: int) -> str:
+        """:func:`choose_direction` for the current frontier.
+
+        ``unit_edges[t]`` is the number of entries unit ``t`` would process.
+        A deferred mask is resolved here, and only when its own-unit lower
+        bound does not already pull (see the module docstring).
+        """
+        mask = self.deferred
+        if mask is not None:
+            self.deferred = None
+            # One entry per unit holding vertices (an empty graph still
+            # has one shard, so ``own`` may be shorter than unit_edges).
+            own = np.logical_or.reduceat(
+                mask, np.arange(0, mask.size, self.unit_size)
+            )
+            bound = int(unit_edges[:own.size][own].sum())
+            if choose_direction(bound, total_edges) == "pull":
+                return "pull"
+            self.dirty = resume_dirty(
+                mask, self.unit_size, self.dirty.size, self.indptr,
+                self.targets, self.flush_pos,
+            )
+        return choose_direction(int(unit_edges[self.dirty].sum()), total_edges)
 
     def active(self, lo: int, hi: int) -> np.ndarray:
         """Absolute indices of dirty units within ``[lo, hi)``."""
@@ -188,3 +236,12 @@ class ShardFrontier:
         self.dirty[upd // self.unit_size] = True
         edges = multi_arange(self.indptr[upd], self.indptr[upd + 1])
         self.dirty[self.targets[edges]] = True
+
+    def defer(self, updated_mask: np.ndarray) -> None:
+        """End a pull iteration: it processed every unit, so its bitmap is
+        :func:`resume_dirty` of ``updated_mask``, rebuilt only if the next
+        :meth:`direction` needs it.  The mask is held, not copied, and must
+        not change before that call.
+        """
+        assert self.flush_pos is not None
+        self.deferred = updated_mask

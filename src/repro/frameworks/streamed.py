@@ -44,8 +44,7 @@ from repro.cache import graph_fingerprint, resolve_cache
 from repro.frameworks.base import (ConvergenceError, Engine, IterationTrace,
                                    RunConfig, RunResult)
 from repro.frameworks.cusha import CuShaEngine
-from repro.frameworks.frontier import (ShardFrontier, choose_direction,
-                                       vertex_influence_csr)
+from repro.frameworks.frontier import ShardFrontier, vertex_influence_csr
 from repro.frameworks.wavebatch import (multi_arange, stats_from_row,
                                         streamed_static_bundle)
 from repro.graph.cw import ConcatenatedWindows
@@ -364,9 +363,8 @@ class StreamedCuShaEngine(Engine):
                 if frontier_on:
                     program.begin_iteration(iteration)
                     if config.frontier == "auto":
-                        direction = choose_direction(
-                            int(shard_entry_sizes[frontier.dirty].sum()),
-                            total_entries,
+                        direction = frontier.direction(
+                            shard_entry_sizes, total_entries
                         )
                     else:
                         direction = "push"
@@ -417,7 +415,6 @@ class StreamedCuShaEngine(Engine):
                     )
                 else:
                     if frontier_on:  # pull: dense sweep over everything
-                        frontier.dirty[:] = False
                         active_shard_count = S
                         frontier.edges_processed += total_entries
                     # One vectorized step over every entry: shards only read
@@ -537,9 +534,13 @@ class StreamedCuShaEngine(Engine):
                 if frontier_on:
                     # Iteration-end flush: sources now read the new
                     # values, so mark the updaters' shards and everything
-                    # they influence (all marks survive under BSP).
+                    # they influence (all marks survive under BSP).  A
+                    # pull defers the marks to the next direction test.
                     last_mask[idx] = True
-                    frontier.mark(idx)
+                    if push:
+                        frontier.mark(idx)
+                    else:
+                        frontier.defer(last_mask)
 
                 # Overlap model: chunk k+1's H2D hides under chunk k's
                 # compute.
@@ -826,9 +827,8 @@ class StreamedCuShaEngine(Engine):
                 if frontier_on:
                     program.begin_iteration(iteration)
                     if config.frontier == "auto":
-                        direction = choose_direction(
-                            int(shard_entry_sizes[frontier.dirty].sum()),
-                            total_entries,
+                        direction = frontier.direction(
+                            shard_entry_sizes, total_entries
                         )
                     else:
                         direction = "push"

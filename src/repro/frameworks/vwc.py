@@ -25,8 +25,7 @@ from repro.frameworks import costs
 from repro.frameworks.base import (ConvergenceError, Engine, IterationTrace,
                                    RunConfig, RunResult)
 from repro.frameworks.csrloop import CSRProblem, iterate_chunks, run_chunk
-from repro.frameworks.frontier import (ShardFrontier, choose_direction,
-                                       resume_dirty, vertex_influence_csr)
+from repro.frameworks.frontier import ShardFrontier, vertex_influence_csr
 from repro.graph.csr import CSR
 from repro.graph.digraph import DiGraph
 from repro.gpu.engine import KernelCostModel
@@ -379,7 +378,6 @@ class VWCEngine(Engine):
         frontier = None
         last_mask = None
         chunk_phase_list = None
-        chunk_flush_pos = None
         chunk_edge_counts = None
         total_in_edges = int(problem.csr.in_edge_idxs[-1])
         if frontier_on:
@@ -405,11 +403,10 @@ class VWCEngine(Engine):
                 chunk_phase_list = self._chunk_static_phases(
                     problem, chunk_size
                 )
-            chunk_flush_pos = np.arange(num_chunks, dtype=np.int64)
             frontier = ShardFrontier(
                 num_chunks, chunk_size, infl[0], infl[1],
                 resume=config.resume_frontier,
-                flush_pos=chunk_flush_pos,
+                flush_pos=np.arange(num_chunks, dtype=np.int64),
             )
             last_mask = np.zeros(n, dtype=bool)
             bounds = np.minimum(
@@ -463,9 +460,8 @@ class VWCEngine(Engine):
                 if frontier_on:
                     program.begin_iteration(iteration)
                     if config.frontier == "auto":
-                        direction = choose_direction(
-                            int(chunk_edge_counts[frontier.dirty].sum()),
-                            total_in_edges,
+                        direction = frontier.direction(
+                            chunk_edge_counts, total_in_edges
                         )
                     else:
                         direction = "push"
@@ -526,18 +522,16 @@ class VWCEngine(Engine):
                         frontier.edges_processed += total_in_edges
                         last_mask[updated_idx] = True
                         # The exact end-of-iteration bitmap a gated sweep
-                        # would leave behind (live marks minus the clears of
-                        # later-processed chunks).
-                        frontier.dirty = resume_dirty(
-                            last_mask, chunk_size, num_chunks,
-                            frontier.indptr, frontier.targets,
-                            chunk_flush_pos,
-                        )
+                        # would leave behind is rebuilt from this mask only
+                        # if the next direction test needs it.
+                        frontier.defer(last_mask)
                 if frontier_on:
                     for pname, pstats in iter_phases.items():
                         phase_totals[pname] += pstats
                 if mdr is not None and updated_idx.size:
-                    mdr.note_updated(np.unique(updated_idx // chunk_size))
+                    mdr.note_updated(np.flatnonzero(np.bincount(
+                        updated_idx // chunk_size, minlength=num_chunks
+                    )))
                 if trace_on:
                     stores_iter = KernelStats()
                 if updated_idx.size:

@@ -16,12 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import PROGRAM_NAMES, make_program
 from repro.frameworks import (CuShaEngine, RunConfig, StreamedCuShaEngine,
-                              VWCEngine)
+                              VWCEngine, make_engine)
 from repro.frameworks.frontier import (DIRECTION_ALPHA, FRONTIER_MODES,
-                                       choose_direction)
+                                       ShardFrontier, choose_direction,
+                                       vertex_influence_csr)
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import (path, random_weights, road_network,
-                                    star)
+from repro.graph.generators import (path, random_weights, rmat,
+                                    road_network, star)
 from repro.telemetry.tracer import Tracer
 
 
@@ -271,6 +272,130 @@ class TestPropertySweep:
         curve = _curve(res)
         tail = curve[int(np.argmax(curve)):]
         assert all(a >= b for a, b in zip(tail, tail[1:])), curve
+
+
+@st.composite
+def deferral_cases(draw):
+    """A graph, a unit size, a flush discipline and per-iteration update
+    densities (each iteration's mask is drawn from a seeded generator)."""
+    # Small units over a sparse graph, so that pushes (frontiers under
+    # 1/alpha of the edges) follow pulls often.
+    g = draw(small_graphs(max_vertices=120, max_edges=240))
+    unit = draw(st.integers(1, 6))
+    num_units = -(-g.num_vertices // unit)
+    discipline = draw(st.sampled_from(["wave", "async", "bsp"]))
+    if discipline == "wave":
+        flush_pos = np.arange(num_units) // draw(st.integers(1, 4))
+    elif discipline == "async":
+        flush_pos = np.arange(num_units)
+    else:
+        flush_pos = np.zeros(num_units, dtype=np.int64)
+    densities = draw(st.lists(st.sampled_from([0.0, 0.01, 0.03, 0.1, 0.5]),
+                              min_size=1, max_size=10))
+    return g, unit, flush_pos.astype(np.int64), densities, draw(
+        st.integers(0, 2**16))
+
+
+class TestDeferredMarks:
+    """Pull iterations hand their mask to :meth:`ShardFrontier.defer`
+    instead of clearing and marking; the direction test must still see
+    exactly what eager marking would have left."""
+
+    @given(deferral_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_defer_matches_eager_marking(self, case):
+        g, unit, flush_pos, densities, seed = case
+        n = g.num_vertices
+        num_units = flush_pos.size
+        indptr, targets = vertex_influence_csr(g.src, g.dst, n, unit,
+                                               num_units)
+        unit_of = np.arange(n) // unit
+        unit_edges = np.bincount(g.dst // unit, minlength=num_units)
+        eager = ShardFrontier(num_units, unit, indptr, targets,
+                              flush_pos=flush_pos)
+        lazy = ShardFrontier(num_units, unit, indptr, targets,
+                             flush_pos=flush_pos)
+        rng = np.random.default_rng(seed)
+        for density in densities:
+            direction = lazy.direction(unit_edges, g.num_edges)
+            assert direction == choose_direction(
+                int(unit_edges[eager.dirty].sum()), g.num_edges)
+            push = direction == "push"
+            if push:
+                assert np.array_equal(lazy.dirty, eager.dirty)
+            proposed = rng.random(n) < density
+            updated = np.zeros(n, dtype=bool)
+            # Flush groups in processing order: clear the group's units,
+            # run them, then mark from their updates.
+            for pos in np.unique(flush_pos):
+                units = np.flatnonzero(flush_pos == pos)
+                if push:
+                    units = units[eager.dirty[units]]
+                group_upd = proposed & np.isin(unit_of, units)
+                updated |= group_upd
+                for frontier in (eager, lazy) if push else (eager,):
+                    frontier.clear(units)
+                    frontier.mark(np.flatnonzero(group_upd))
+            if not push:
+                lazy.defer(updated)
+
+    @pytest.mark.parametrize("engine_key,opts", [
+        ("cusha-cw", {"shard_size": 8}),
+        ("cusha-streamed", {"shard_size": 8,
+                            "device_memory_bytes": 24 * 1024}),
+        ("vwc-8", {"chunk_vertices": 8}),
+    ])
+    def test_pull_iterations_do_no_frontier_work(self, monkeypatch,
+                                                 engine_key, opts):
+        """``mark`` never runs in a pull iteration, and ``resume_dirty``
+        runs only when the deferred mask's own-unit bound would push."""
+        from repro.frameworks import frontier as frontier_mod
+
+        calls = {"resolve": 0, "skip": 0, "pull": 0, "push": 0}
+        state = {"direction": None, "resumes": 0}
+        orig_mark = ShardFrontier.mark
+        orig_direction = ShardFrontier.direction
+        orig_resume = frontier_mod.resume_dirty
+
+        def mark(self, updated):
+            assert state["direction"] != "pull", "mark() in a pull iteration"
+            orig_mark(self, updated)
+
+        def resume_dirty(*args):
+            state["resumes"] += 1
+            return orig_resume(*args)
+
+        def direction(self, unit_edges, total_edges):
+            mask = self.deferred
+            before = state["resumes"]
+            result = orig_direction(self, unit_edges, total_edges)
+            resumed = state["resumes"] - before
+            if mask is None:
+                assert resumed == 0
+            else:
+                own = np.unique(np.flatnonzero(mask) // self.unit_size)
+                bound = choose_direction(int(unit_edges[own].sum()),
+                                         total_edges)
+                assert resumed == (bound == "push")
+                calls["resolve" if resumed else "skip"] += 1
+            state["direction"] = result
+            calls[result] += 1
+            return result
+
+        monkeypatch.setattr(ShardFrontier, "mark", mark)
+        monkeypatch.setattr(ShardFrontier, "direction", direction)
+        monkeypatch.setattr(frontier_mod, "resume_dirty", resume_dirty)
+        g = rmat(2048, 8192, seed=5)
+        res = make_engine(engine_key, cache=False, **opts).run(
+            g, make_program("pr", g), config=_config("auto"))
+        assert res.converged
+        assert calls["pull"] + calls["push"] == res.iterations
+        assert calls["skip"] > 0 and calls["resolve"] > 0
+        # Every pull defers, and the next direction test resolves or
+        # skips that deferral exactly once.
+        deferred = calls["pull"] - (state["direction"] == "pull")
+        assert calls["resolve"] + calls["skip"] == deferred
+        assert state["resumes"] == calls["resolve"]
 
 
 class TestFrontierGate:

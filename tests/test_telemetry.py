@@ -12,10 +12,12 @@ Four concerns, per the telemetry design contract:
   aggregate :class:`~repro.gpu.stats.KernelStats`.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import make_program
 from repro.frameworks import CuShaEngine, MTCPUEngine, VWCEngine, make_engine
@@ -114,6 +116,21 @@ class TestTracerCore:
         ks.add_atomics(shared=5, global_=1)
         back = stats_from_dict(stats_to_dict(ks))
         assert back == ks
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_stats_to_dict_equals_asdict(self, data):
+        ks = KernelStats(**{
+            f.name: data.draw(
+                st.floats(0, 1e12) if isinstance(f.default, float)
+                else st.integers(0, 2**40), label=f.name)
+            for f in dataclasses.fields(KernelStats)
+        })
+        d = stats_to_dict(ks)
+        expected = dataclasses.asdict(ks)
+        assert list(d) == list(expected)
+        assert d == expected
+        assert stats_from_dict(d) == ks
 
 
 class TestNullTracer:
