@@ -171,29 +171,16 @@ def apply_reductions(
     dest_idx: np.ndarray,
     msgs: dict[str, np.ndarray],
     mask: np.ndarray | None,
-    track_changed: bool = False,
-) -> tuple[int, np.ndarray | None]:
+) -> int:
     """Fold per-edge messages into ``local`` with the program's reducers.
 
     ``dest_idx`` maps each edge to its (local) destination slot.  Unordered
     ``ufunc.at`` application mirrors the nondeterministic-but-commutative
-    atomic updates of the real kernel.  Returns ``(ops, changed)``: the
-    number of atomic operations performed (for the hardware stats) and —
-    when ``track_changed`` — a boolean mask over ``local``'s rows marking
-    vertices whose reduced fields the messages actually moved (the
-    *active-vertex* set frontier telemetry reports).  ``changed`` is
-    ``None`` when not tracked; tracking snapshots only the touched rows'
-    message fields, so the reduction itself is unchanged either way.
+    atomic updates of the real kernel.  Returns the number of atomic
+    operations performed (for the hardware stats).
     """
     if mask is not None:
         dest_idx = dest_idx[mask]
-    before: dict[str, np.ndarray] | None = None
-    touched_idx: np.ndarray | None = None
-    if track_changed:
-        touched = np.zeros(len(local), dtype=bool)
-        touched[dest_idx] = True
-        touched_idx = np.flatnonzero(touched)
-        before = {f: local[f][touched_idx].copy() for f in msgs}
     ops = 0
     for field, contrib in msgs.items():
         op = program.reduce_ops[field]
@@ -214,17 +201,4 @@ def apply_reductions(
         else:
             _UFUNCS[op].at(target, dest_idx, values)
         ops += int(values.size)
-    if not track_changed:
-        return ops, None
-    assert before is not None and touched_idx is not None
-    changed = np.zeros(len(local), dtype=bool)
-    moved = np.zeros(len(touched_idx), dtype=bool)
-    for field, old_vals in before.items():
-        # Per-field comparison (structured-array ``!=`` is unreliable for
-        # subarray dtypes); extra dimensions collapse with ``any``.
-        diff = local[field][touched_idx] != old_vals
-        while diff.ndim > 1:
-            diff = diff.any(axis=-1)
-        moved |= diff
-    changed[touched_idx[moved]] = True
-    return ops, changed
+    return ops
