@@ -18,6 +18,10 @@ instances:
   future-work extension: out-of-core processing with overlapped
   transfer/compute streams.
 
+Every engine but the scalar oracle runs under the one iteration loop of
+:class:`repro.frameworks.driver.IterationDriver`, supplying only its
+representations, unit structure and per-iteration sweep.
+
 All engines return a :class:`repro.frameworks.base.RunResult` with the final
 vertex values, per-iteration traces, aggregated hardware statistics, and
 simulated times.

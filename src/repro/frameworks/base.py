@@ -52,10 +52,13 @@ class FaultHooks:
     deterministic, seed-driven points.
 
     The hook sites are the contract that keeps fault injection identical
-    across the ``fast`` and ``reference`` execution paths: engines call
-    hooks only at per-launch, per-transfer, and per-iteration boundaries —
-    never inside per-wave or per-shard inner loops — so both paths reach
-    exactly the same ``(engine, kind, site, iteration)`` fault sites.
+    across engines and across the ``fast`` and ``reference`` execution
+    paths: they live in one place, the
+    :class:`~repro.frameworks.driver.IterationDriver` loop every engine
+    runs under (the ``scalar`` oracle keeps its own), at per-launch,
+    per-transfer and per-iteration boundaries — never inside an engine's
+    per-wave or per-shard sweep — so every path reaches exactly the same
+    ``(engine, kind, site, iteration)`` fault sites.
 
     Hooks:
 

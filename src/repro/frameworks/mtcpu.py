@@ -21,11 +21,10 @@ single-thread run bounds the CPU's worst case (Table 6's maxima).
 
 from __future__ import annotations
 
-from repro.frameworks.base import (ConvergenceError, Engine, IterationTrace,
-                                   RunConfig, RunResult)
-from repro.cache import graph_fingerprint, resolve_cache
-from repro.frameworks.csrloop import CSRProblem, iterate_chunks
-from repro.graph.csr import CSR
+from repro.frameworks.base import RunConfig
+from repro.frameworks.csrloop import CSRProblem, cached_csr, iterate_chunks
+from repro.frameworks.driver import (DrivenEngine, IterationDriver, Plan,
+                                     RunCache, Sweep)
 from repro.graph.digraph import DiGraph
 from repro.gpu.spec import CPUSpec, I7_3930K
 from repro.gpu.stats import KernelStats
@@ -37,7 +36,7 @@ MTCPU_THREAD_COUNTS: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
 """The thread counts the paper sweeps."""
 
 
-class MTCPUEngine(Engine):
+class MTCPUEngine(DrivenEngine):
     """CSR processing on the modeled host CPU with ``threads`` workers."""
 
     def __init__(
@@ -78,17 +77,9 @@ class MTCPUEngine(Engine):
     def preflight_representations(
         self, graph: DiGraph, program: VertexProgram, config: RunConfig
     ) -> tuple:
-        """The CSR this run iterates, via the same cache key ``_run`` uses."""
-        cache_opt = False if config.exec_path == "reference" else self.cache
-        cache = resolve_cache(cache_opt)
-        if cache is not None:
-            csr = cache.get(
-                ("csr", graph_fingerprint(graph)),
-                lambda: CSR.from_graph(graph),
-            )
-        else:
-            csr = CSR.from_graph(graph)
-        return (csr,)
+        """The CSR this run iterates, via the same cache key the run uses."""
+        cache = False if config.exec_path == "reference" else self.cache
+        return (cached_csr(graph, RunCache(graph, cache)),)
 
     def predicted_stage_stats(
         self, graph: DiGraph, program: VertexProgram
@@ -98,109 +89,33 @@ class MTCPUEngine(Engine):
         return {}
 
     # ------------------------------------------------------------------
-    def _run(
-        self, graph: DiGraph, program: VertexProgram, config: RunConfig
-    ) -> RunResult:
-        max_iterations = config.max_iterations
-        tracer = config.tracer
-        trace_on = tracer.enabled
-        with tracer.span(
-            self.name,
-            "run",
-            engine=self.name,
-            program=program.name,
-            num_vertices=graph.num_vertices,
-            num_edges=graph.num_edges,
-            threads=self.threads,
-        ) as run_span:
-            cache_opt = (
-                False if config.exec_path == "reference" else self.cache
-            )
-            cache = resolve_cache(cache_opt)
-            cache_hits = cache_misses = 0
-            if cache is not None:
-                hits0, misses0 = cache.counters()
-            problem = CSRProblem.build(graph, program, cache=cache_opt)
-            if cache is not None:
-                hits1, misses1 = cache.counters()
-                cache_hits, cache_misses = hits1 - hits0, misses1 - misses0
-            if config.resume_values is not None:
-                problem.vertex_values = config.initial_values(graph, program)
-            chunk = max(1, -(-graph.num_vertices // self.threads))
-            iter_ms = self._iteration_ms(graph, program)
+    def _run_attrs(self) -> dict:
+        return {"threads": self.threads}
 
-            faults = config.faults
-            traces: list[IterationTrace] = []
-            kernel_ms = 0.0
-            converged = False
-            iterations = config.start_iteration
-            for iteration in range(
-                config.start_iteration + 1, max_iterations + 1
-            ):
-                if faults.active:
-                    faults.kernel(self.name, iteration, config.exec_path)
-                with tracer.span(
-                    f"iter-{iteration}", "iteration", model_start_ms=kernel_ms
-                ) as it_span:
-                    updated_idx, _ops = iterate_chunks(
-                        problem,
-                        chunk,
-                        metrics=tracer.metrics if trace_on else None,
-                    )
-                    kernel_ms += iter_ms
-                    iterations = iteration
-                    if config.collect_traces:
-                        traces.append(
-                            IterationTrace(
-                                iteration, int(updated_idx.size), iter_ms,
-                                kernel_ms,
-                            )
-                        )
-                    if trace_on:
-                        it_span.model_ms = iter_ms
-                        it_span.attrs["updated_vertices"] = int(updated_idx.size)
-                        tracer.metrics.histogram(
-                            "engine.updated_vertices"
-                        ).observe(int(updated_idx.size))
-                if faults.active:
-                    faults.values(self.name, iteration, problem.vertex_values)
-                if updated_idx.size == 0:
-                    converged = True
-                    break
-            if not converged and not config.allow_partial:
-                raise ConvergenceError(
-                    f"{self.name}/{program.name} did not converge in "
-                    f"{max_iterations} iterations"
-                )
-            if trace_on:
-                m = tracer.metrics
-                m.counter("engine.iterations").inc(
-                    iterations - config.start_iteration
-                )
-                m.gauge("mtcpu.threads").set(self.threads)
-                m.gauge("mtcpu.chunk_vertices").set(chunk)
-                run_span.model_ms = kernel_ms
-                run_span.attrs["iterations"] = iterations
-                run_span.attrs["converged"] = converged
-        rep_bytes = problem.csr.memory_bytes(
-            program.vertex_value_bytes,
-            program.edge_value_bytes,
-            program.static_value_bytes,
-        )
-        return RunResult(
-            engine=self.name,
-            program=program.name,
+    def _plan(self, run: IterationDriver) -> Plan:
+        graph, program, config = run.graph, run.program, run.config
+        problem = CSRProblem.build(graph, program, cache=run.cache)
+        if config.resume_values is not None:
+            problem.vertex_values = config.initial_values(graph, program)
+        chunk = max(1, -(-graph.num_vertices // self.threads))
+        iter_ms = self._iteration_ms(graph, program)
+        metrics = run.tracer.metrics if run.trace_on else None
+
+        def sweep(iteration: int, push: bool) -> Sweep:
+            updated_idx, _ops = iterate_chunks(problem, chunk, metrics=metrics)
+            # No GPU profiler metrics for CPU runs.
+            return Sweep(updated=updated_idx, stats=KernelStats(), ms=iter_ms)
+
+        return Plan(
             values=problem.vertex_values,
-            iterations=iterations,
-            converged=converged,
-            kernel_time_ms=kernel_ms,
-            h2d_ms=0.0,  # CPU runs pay no PCIe transfers
-            d2h_ms=0.0,
-            representation_bytes=rep_bytes,
-            stats=KernelStats(),  # no GPU profiler metrics for CPU runs
-            traces=traces,
-            num_edges=graph.num_edges,
-            exec_path=config.exec_path,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
+            sweep=sweep,
+            representation_bytes=problem.csr.memory_bytes(
+                program.vertex_value_bytes,
+                program.edge_value_bytes,
+                program.static_value_bytes,
+            ),
+            # CPU runs pay no PCIe transfers and have no stage breakdown.
+            stage_stats=False,
+            gauges={"mtcpu.threads": self.threads,
+                    "mtcpu.chunk_vertices": chunk},
         )

@@ -20,22 +20,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cache import graph_fingerprint, resolve_cache
 from repro.frameworks import costs
-from repro.frameworks.base import (ConvergenceError, Engine, IterationTrace,
-                                   RunConfig, RunResult)
-from repro.frameworks.csrloop import CSRProblem, iterate_chunks, run_chunk
-from repro.frameworks.frontier import ShardFrontier, vertex_influence_csr
-from repro.graph.csr import CSR
+from repro.frameworks.base import RunConfig
+from repro.frameworks.csrloop import (CSRProblem, cached_csr, iterate_chunks,
+                                      run_chunk)
+from repro.frameworks.driver import (DrivenEngine, IterationDriver, Plan,
+                                     RunCache, Sweep, concat)
 from repro.graph.digraph import DiGraph
 from repro.gpu.engine import KernelCostModel
 from repro.gpu.memory import contiguous_transactions, gather_transactions, segments_rowwise
-from repro.gpu.pcie import transfer_ms
 from repro.gpu.spec import GTX780, GPUSpec, PCIeSpec
 from repro.gpu.stats import KernelStats, LOAD_GRANULARITY_BYTES
 from repro.gpu.warp import reduction_slots
-from repro.placement import multi_device_run
-from repro.telemetry.metrics import publish_kernel_stats
 from repro.vertexcentric.program import VertexProgram
 
 __all__ = ["VWCEngine", "VIRTUAL_WARP_SIZES"]
@@ -46,7 +42,7 @@ VIRTUAL_WARP_SIZES: tuple[int, ...] = (2, 4, 8, 16, 32)
 _ROW_CHUNK = 1 << 15
 
 
-class VWCEngine(Engine):
+class VWCEngine(DrivenEngine):
     """VWC-CSR with a given virtual warp size."""
 
     def __init__(
@@ -269,20 +265,20 @@ class VWCEngine(Engine):
         ]
 
     # ------------------------------------------------------------------
+    def _stats_key(self, program: VertexProgram) -> tuple:
+        """Cache-key parameters of the priced lockstep schedule: it is
+        static per (graph structure, virtual warp config, value layout)."""
+        return (self.virtual_warp_size, self.address_dilation,
+                self.defer_outliers, self.outlier_factor,
+                self.spec.warp_size, program.vertex_value_bytes,
+                program.static_value_bytes, program.edge_value_bytes)
+
     def preflight_representations(
         self, graph: DiGraph, program: VertexProgram, config: RunConfig
     ) -> tuple:
-        """The CSR this run iterates, via the same cache key ``_run`` uses."""
-        cache_opt = False if config.exec_path == "reference" else self.cache
-        cache = resolve_cache(cache_opt)
-        if cache is not None:
-            csr = cache.get(
-                ("csr", graph_fingerprint(graph)),
-                lambda: CSR.from_graph(graph),
-            )
-        else:
-            csr = CSR.from_graph(graph)
-        return (csr,)
+        """The CSR this run iterates, via the same cache key the run uses."""
+        cache = False if config.exec_path == "reference" else self.cache
+        return (cached_csr(graph, RunCache(graph, cache)),)
 
     def predicted_stage_stats(
         self, graph: DiGraph, program: VertexProgram
@@ -294,70 +290,23 @@ class VWCEngine(Engine):
         return self._static_stat_phases(problem)
 
     # ------------------------------------------------------------------
-    def _run(
-        self, graph: DiGraph, program: VertexProgram, config: RunConfig
-    ) -> RunResult:
-        tracer = config.tracer
-        with tracer.span(
-            self.name,
-            "run",
-            engine=self.name,
-            program=program.name,
-            num_vertices=graph.num_vertices,
-            num_edges=graph.num_edges,
-        ) as run_span:
-            return self._execute(graph, program, config, run_span)
-
-    def _execute(
-        self, graph: DiGraph, program: VertexProgram, config: RunConfig, run_span
-    ) -> RunResult:
-        max_iterations = config.max_iterations
-        tracer = config.tracer
-        trace_on = tracer.enabled
-        vbytes_ = program.vertex_value_bytes
-        sbytes_ = program.static_value_bytes
-        ebytes_ = program.edge_value_bytes
-        # The reference execution path never consults the cache, keeping the
-        # equivalence baseline free of memoization.
-        cache_opt = False if config.exec_path == "reference" else self.cache
-        cache = resolve_cache(cache_opt)
-        cache_hits = cache_misses = 0
-        if cache is not None:
-            hits0, misses0 = cache.counters()
-        problem = CSRProblem.build(graph, program, cache=cache_opt)
-        if cache is not None:
-            # The lockstep schedule is static per (graph structure, virtual
-            # warp config, value layout): cache the priced phases.
-            fp = graph_fingerprint(graph)
-            phases = cache.get(
-                ("vwc-stats", fp, self.virtual_warp_size,
-                 self.address_dilation, self.defer_outliers,
-                 self.outlier_factor, self.spec.warp_size,
-                 vbytes_, sbytes_, ebytes_),
-                lambda: self._static_stat_phases(problem),
-            )
-            hits1, misses1 = cache.counters()
-            cache_hits, cache_misses = hits1 - hits0, misses1 - misses0
-            if trace_on:
-                tracer.metrics.counter("cache.hits").inc(cache_hits)
-                tracer.metrics.counter("cache.misses").inc(cache_misses)
-        else:
-            phases = self._static_stat_phases(problem)
+    def _plan(self, run: IterationDriver) -> Plan:
+        graph, program, config = run.graph, run.program, run.config
+        problem = CSRProblem.build(graph, program, cache=run.cache)
+        phases = run.cache.get(
+            ("vwc-stats", *self._stats_key(program)),
+            lambda: self._static_stat_phases(problem),
+        )
         static_stats = KernelStats()
         for s in phases.values():
             static_stats += s
-        vbytes = program.vertex_value_bytes
-        ebytes = program.edge_value_bytes
-        sbytes = program.static_value_bytes
-        vpw = self.spec.warp_size // self.virtual_warp_size
-        n = graph.num_vertices
-
         if config.resume_values is not None:
             # CSRProblem.build initialized fresh values; warm-start from the
             # checkpoint instead (copied — snapshots are frozen).
             problem.vertex_values = np.array(config.resume_values, copy=True)
-
-        # ----- frontier state ------------------------------------------------
+        vbytes = program.vertex_value_bytes
+        vpw = self.spec.warp_size // self.virtual_warp_size
+        n = graph.num_vertices
         # The scheduling unit is the Gauss-Seidel vertex chunk: updates land
         # live at each chunk's end, so marks flush immediately
         # (flush_pos == chunk index).
@@ -366,323 +315,85 @@ class VWCEngine(Engine):
         chunk_bounds = np.minimum(
             np.arange(num_chunks + 1, dtype=np.int64) * chunk_size, n
         )
-        mdr = multi_device_run(
-            config, num_chunks,
-            weights=np.diff(problem.csr.in_edge_idxs[chunk_bounds]),
-            src_unit=graph.src // chunk_size,
-            dst_unit=graph.dst // chunk_size,
-            value_bytes=vbytes,
-            pcie=self.pcie,
-        )
-        frontier_on = config.frontier != "off"
-        frontier = None
-        last_mask = None
         chunk_phase_list = None
-        chunk_edge_counts = None
-        total_in_edges = int(problem.csr.in_edge_idxs[-1])
-        if frontier_on:
-            if cache is not None:
-                fp2 = graph_fingerprint(graph)
-                infl = cache.get(
-                    ("frontier", fp2, chunk_size),
-                    lambda: vertex_influence_csr(
-                        graph.src, graph.dst, n, chunk_size, num_chunks
-                    ),
-                )
-                chunk_phase_list = cache.get(
-                    ("vwc-chunk-stats", fp2, self.virtual_warp_size,
-                     self.address_dilation, self.defer_outliers,
-                     self.outlier_factor, self.spec.warp_size,
-                     vbytes_, sbytes_, ebytes_, chunk_size),
-                    lambda: self._chunk_static_phases(problem, chunk_size),
-                )
-            else:
-                infl = vertex_influence_csr(
-                    graph.src, graph.dst, n, chunk_size, num_chunks
-                )
-                chunk_phase_list = self._chunk_static_phases(
-                    problem, chunk_size
-                )
-            frontier = ShardFrontier(
-                num_chunks, chunk_size, infl[0], infl[1],
-                resume=config.resume_frontier,
-                flush_pos=np.arange(num_chunks, dtype=np.int64),
+        if config.frontier != "off":
+            chunk_phase_list = run.cache.get(
+                ("vwc-chunk-stats", *self._stats_key(program), chunk_size),
+                lambda: self._chunk_static_phases(problem, chunk_size),
             )
-            last_mask = np.zeros(n, dtype=bool)
-            bounds = np.minimum(
-                np.arange(num_chunks + 1, dtype=np.int64) * chunk_size, n
-            )
-            chunk_edge_counts = np.diff(problem.csr.in_edge_idxs[bounds])
-            phase_totals = {name: KernelStats() for name in phases}
-
-        rep_bytes = problem.csr.memory_bytes(vbytes, ebytes, sbytes)
-        h2d_ms = transfer_ms(rep_bytes, self.pcie)
-        d2h_ms = transfer_ms(n * vbytes, self.pcie)
-        faults = config.faults
-        if faults.active:
-            faults.launch(self.name, 0, 0)
-            faults.transfer(self.name, "h2d")
-        tracer.emit(
-            "h2d", "transfer", model_start_ms=0.0, model_ms=h2d_ms,
-            bytes=rep_bytes,
-        )
-        if trace_on:
-            # Standalone per-phase modeled cost of the static schedule
-            # (kernel_launches=0, so no launch overhead) — reused every
-            # iteration's stage spans since the schedule is static.
-            phase_ms = {
-                name: self.cost_model.time_ms(s, occupancy=1.0)
-                for name, s in phases.items()
-            }
-
-        total_stats = KernelStats()
-        store_dynamic = KernelStats()
-        traces: list[IterationTrace] = []
-        kernel_ms = 0.0
-        converged = False
-        iterations = config.start_iteration
+        all_vertices = np.arange(n, dtype=np.int64)
         upd_mask = np.zeros(n, dtype=bool)
+        metrics = run.tracer.metrics if run.trace_on else None
 
-        for iteration in range(config.start_iteration + 1, max_iterations + 1):
-            if faults.active:
-                faults.kernel(self.name, iteration, config.exec_path)
-                if mdr is not None:
-                    faults.device(
-                        self.name, iteration, config.exec_path, mdr.placement
-                    )
-            iter_start_ms = h2d_ms + kernel_ms
-            with tracer.span(
-                f"iter-{iteration}", "iteration", model_start_ms=iter_start_ms
-            ) as it_span:
-                push = False
-                direction = None
-                active_chunk_count = 0
-                if frontier_on:
-                    program.begin_iteration(iteration)
-                    if config.frontier == "auto":
-                        direction = frontier.direction(
-                            chunk_edge_counts, total_in_edges
-                        )
-                    else:
-                        direction = "push"
-                    push = direction == "push"
-                    last_mask[:] = False
-                if push:
-                    # Frontier-gated Gauss-Seidel: only dirty chunks run.
-                    # Marks land immediately after each chunk (its updates
-                    # are live), so a mark into a later chunk schedules it
-                    # within this very iteration — exactly the full sweep's
-                    # visibility — while marks into earlier chunks survive
-                    # to the next iteration.
-                    iter_phases = {name: KernelStats() for name in phases}
-                    updated_parts: list[np.ndarray] = []
-                    mdr_processed: list[int] = []
-                    for c in range(num_chunks):
-                        if not frontier.dirty[c]:
-                            frontier.shards_skipped += 1
-                            continue
-                        frontier.dirty[c] = False
-                        frontier.edges_processed += int(chunk_edge_counts[c])
-                        active_chunk_count += 1
-                        if mdr is not None:
-                            mdr_processed.append(c)
-                        a = c * chunk_size
-                        idx, _ops = run_chunk(
-                            problem, a, min(a + chunk_size, n)
-                        )
-                        for pname, pstats in chunk_phase_list[c].items():
-                            iter_phases[pname] += pstats
-                        if idx.size:
-                            updated_parts.append(idx)
-                            last_mask[idx] = True
-                            frontier.mark(idx)
-                    if updated_parts:
-                        updated_idx = np.concatenate(updated_parts)
-                    else:
-                        updated_idx = np.empty(0, dtype=np.int64)
-                    iter_stats = KernelStats()
-                    for pstats in iter_phases.values():
-                        iter_stats += pstats
-                    iter_stats.kernel_launches = 1 if active_chunk_count else 0
-                    if mdr is not None:
-                        mdr.note_processed(
-                            np.asarray(mdr_processed, dtype=np.int64)
-                        )
-                else:
-                    updated_idx, _ops = iterate_chunks(
-                        problem,
-                        self.chunk_vertices,
-                        metrics=tracer.metrics if trace_on else None,
-                    )
-                    iter_stats = static_stats.copy()
-                    iter_stats.kernel_launches = 1
-                    if frontier_on:  # pull: dense sweep over every chunk
-                        iter_phases = phases
-                        active_chunk_count = num_chunks
-                        frontier.edges_processed += total_in_edges
-                        last_mask[updated_idx] = True
-                        # The exact end-of-iteration bitmap a gated sweep
-                        # would leave behind is rebuilt from this mask only
-                        # if the next direction test needs it.
-                        frontier.defer(last_mask)
-                if frontier_on:
-                    for pname, pstats in iter_phases.items():
-                        phase_totals[pname] += pstats
-                if mdr is not None and updated_idx.size:
-                    mdr.note_updated(np.flatnonzero(np.bincount(
-                        updated_idx // chunk_size, minlength=num_chunks
-                    )))
-                if trace_on:
-                    stores_iter = KernelStats()
-                if updated_idx.size:
-                    # Lane-0 conditional stores: group vertices by physical warp
-                    # (vpw consecutive vertices per warp row).
-                    upd_mask[:] = False
-                    upd_mask[updated_idx] = True
-                    store_tc = gather_transactions(
-                        np.arange(n, dtype=np.int64),
-                        vbytes,
-                        active=upd_mask,
-                        warp_size=vpw,
-                    )
-                    iter_stats.add_store(store_tc)
-                    store_dynamic.add_store(store_tc)
-                    if trace_on:
-                        stores_iter.add_store(store_tc)
-                t_ms = self.cost_model.time_ms(iter_stats, occupancy=1.0)
-                if mdr is not None:
-                    t_ms = mdr.iteration_time(t_ms)
-                    if trace_on and mdr.last_exchange_bytes:
-                        tracer.emit(
-                            "exchange", "transfer",
-                            model_start_ms=iter_start_ms + t_ms
-                            - mdr.last_exchange_ms,
-                            model_ms=mdr.last_exchange_ms,
-                            bytes=mdr.last_exchange_bytes,
-                            iteration=iteration,
-                        )
-                kernel_ms += t_ms
-                total_stats += iter_stats
-                iterations = iteration
-                if config.collect_traces:
-                    traces.append(
-                        IterationTrace(
-                            iteration, int(updated_idx.size), t_ms, kernel_ms,
-                            active_chunk_count,
-                        )
-                    )
-                if trace_on:
-                    it_span.model_ms = t_ms
-                    it_span.attrs["updated_vertices"] = int(updated_idx.size)
-                    if frontier_on:
-                        it_span.attrs["frontier_direction"] = direction
-                        it_span.attrs["active_shards"] = active_chunk_count
-                    tracer.metrics.histogram(
-                        "engine.updated_vertices"
-                    ).observe(int(updated_idx.size))
-                    emit_phases = iter_phases if frontier_on else phases
-                    for pname, pstats in emit_phases.items():
-                        tracer.emit(
-                            pname,
-                            "stage",
-                            model_start_ms=iter_start_ms,
-                            model_ms=(
-                                self.cost_model.time_ms(pstats, occupancy=1.0)
-                                if frontier_on else phase_ms[pname]
-                            ),
-                            stats=pstats,
-                            iteration=iteration,
-                        )
-                    tracer.emit(
-                        "stores",
-                        "stage",
-                        model_start_ms=iter_start_ms,
-                        model_ms=self.cost_model.time_ms(
-                            stores_iter, occupancy=1.0
-                        ),
-                        stats=stores_iter,
-                        iteration=iteration,
-                    )
-            if faults.active:
-                faults.values(self.name, iteration, problem.vertex_values)
-            if updated_idx.size == 0:
-                converged = True
-                break
-
-        if not converged and not config.allow_partial:
-            raise ConvergenceError(
-                f"{self.name}/{program.name} did not converge in "
-                f"{max_iterations} iterations"
+        def sweep(iteration: int, push: bool) -> Sweep:
+            if push:
+                # Frontier-gated Gauss-Seidel: only dirty chunks run.  Marks
+                # land immediately after each chunk (its updates are live),
+                # so a mark into a later chunk schedules it within this
+                # very iteration — exactly the full sweep's visibility —
+                # while marks into earlier chunks survive to the next
+                # iteration.
+                frontier = run.frontier
+                iter_phases = {name: KernelStats() for name in phases}
+                parts: list[np.ndarray] = []
+                processed: list[int] = []
+                for c in range(num_chunks):
+                    if not frontier.dirty[c]:
+                        continue
+                    frontier.dirty[c] = False
+                    processed.append(c)
+                    a = c * chunk_size
+                    idx, _ops = run_chunk(problem, a, min(a + chunk_size, n))
+                    for pname, pstats in chunk_phase_list[c].items():
+                        iter_phases[pname] += pstats
+                    if idx.size:
+                        parts.append(idx)
+                        frontier.mark(idx)
+                updated_idx = concat(parts)
+                iter_stats = KernelStats()
+                for pstats in iter_phases.values():
+                    iter_stats += pstats
+                iter_stats.kernel_launches = 1 if processed else 0
+            else:
+                updated_idx, _ops = iterate_chunks(
+                    problem, chunk_size, metrics=metrics
+                )
+                iter_stats = static_stats.copy()
+                iter_stats.kernel_launches = 1
+                iter_phases = phases
+                processed = []
+            stores = KernelStats()
+            if updated_idx.size:
+                # Lane-0 conditional stores: group vertices by physical warp
+                # (vpw consecutive vertices per warp row).
+                upd_mask[:] = False
+                upd_mask[updated_idx] = True
+                store_tc = gather_transactions(
+                    all_vertices, vbytes, active=upd_mask, warp_size=vpw,
+                )
+                iter_stats.add_store(store_tc)
+                stores.add_store(store_tc)
+            return Sweep(
+                updated=updated_idx,
+                stats=iter_stats,
+                ms=self.cost_model.time_ms(iter_stats, occupancy=1.0),
+                processed=np.asarray(processed, dtype=np.int64),
+                stages=(*iter_phases.items(), ("stores", stores)),
             )
-        if faults.active:
-            faults.transfer(self.name, "d2h")
-        tracer.emit(
-            "d2h", "transfer", model_start_ms=h2d_ms + kernel_ms,
-            model_ms=d2h_ms, bytes=n * vbytes,
+
+        rep_bytes = problem.csr.memory_bytes(
+            vbytes, program.edge_value_bytes, program.static_value_bytes
         )
-        if trace_on:
-            m = tracer.metrics
-            publish_kernel_stats(m, total_stats)
-            m.counter("engine.iterations").inc(
-                iterations - config.start_iteration
-            )
-            m.gauge("vwc.virtual_warp_size").set(self.virtual_warp_size)
-            m.gauge("vwc.chunk_vertices").set(self.chunk_vertices)
-            if mdr is not None:
-                mdr.publish(tracer, engine=self.name)
-            if frontier_on:
-                m.counter("frontier.edges_processed").inc(
-                    frontier.edges_processed
-                )
-                m.counter("frontier.shards_skipped").inc(
-                    frontier.shards_skipped
-                )
-            run_span.model_ms = h2d_ms + kernel_ms + d2h_ms
-            run_span.attrs["iterations"] = iterations
-            run_span.attrs["converged"] = converged
-            if frontier_on:
-                run_span.attrs["frontier"] = config.frontier
-
-        def scaled(s: KernelStats, k: int) -> KernelStats:
-            out = KernelStats()
-            out.load_transactions = s.load_transactions * k
-            out.load_bytes_requested = s.load_bytes_requested * k
-            out.store_transactions = s.store_transactions * k
-            out.store_bytes_requested = s.store_bytes_requested * k
-            out.active_lane_slots = s.active_lane_slots * k
-            out.total_lane_slots = s.total_lane_slots * k
-            out.warp_instructions = s.warp_instructions * k
-            return out
-
-        if frontier_on:
-            stage_stats = dict(phase_totals)
-        else:
-            stage_stats = {
-                name: scaled(s, iterations - config.start_iteration)
-                for name, s in phases.items()
-            }
-        stage_stats["stores"] = store_dynamic
-        return RunResult(
-            engine=self.name,
-            program=program.name,
+        return Plan(
             values=problem.vertex_values,
-            iterations=iterations,
-            converged=converged,
-            kernel_time_ms=kernel_ms,
-            h2d_ms=h2d_ms,
-            d2h_ms=d2h_ms,
+            sweep=sweep,
             representation_bytes=rep_bytes,
-            stats=total_stats,
-            traces=traces,
-            num_edges=graph.num_edges,
-            stage_stats=stage_stats,
-            exec_path=config.exec_path,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-            edges_processed=0 if frontier is None else frontier.edges_processed,
-            shards_skipped=0 if frontier is None else frontier.shards_skipped,
-            frontier_mask=None if last_mask is None else last_mask.copy(),
-            devices=config.devices,
-            exchange_bytes=0 if mdr is None else mdr.exchange_bytes,
-            exchange_ms=0.0 if mdr is None else mdr.exchange_ms,
+            unit_size=chunk_size,
+            unit_edges=np.diff(problem.csr.in_edge_idxs[chunk_bounds]),
+            flush_pos=np.arange(num_chunks, dtype=np.int64),
+            h2d_bytes=rep_bytes,
+            gauges={
+                "vwc.virtual_warp_size": self.virtual_warp_size,
+                "vwc.chunk_vertices": self.chunk_vertices,
+            },
         )
