@@ -149,14 +149,14 @@ def resume_dirty(
 class ShardFrontier:
     """Live dirty bitmap + work counters for one frontier-gated run.
 
-    Engines call :meth:`direction` to choose the iteration's sweep,
-    :meth:`active` to pick the units a push processes, :meth:`clear` on the
-    processed units, and :meth:`mark` with the genuinely updated vertex
-    indices at each write-back flush (self-units are marked here too — the
-    call sites coincide for every engine's flush discipline, see the module
-    docstring).  A pull iteration calls :meth:`defer` once instead of
-    clearing and marking; while a mask is deferred, :attr:`dirty` is stale
-    and only :meth:`direction` may read it.
+    The iteration driver calls :meth:`direction` to choose the iteration's
+    sweep.  A push sweep calls :meth:`active` to pick the units it
+    processes, :meth:`clear` on them, and :meth:`mark` with the genuinely
+    updated vertex indices at each write-back flush (self-units are marked
+    here too — the call sites coincide for every engine's flush
+    discipline, see the module docstring).  After a pull sweep the driver
+    calls :meth:`defer` once instead; while a mask is deferred,
+    :attr:`dirty` is stale and only :meth:`direction` may read it.
     """
 
     __slots__ = (
