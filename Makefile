@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test layerbench bench perf-smoke smoke-trace serve-smoke report lint check certify ranges chaos-smoke chaos-multi perfgate perfgate-rebaseline ci clean
+.PHONY: test layerbench bench perf-smoke overlay-cost smoke-trace serve-smoke report lint check certify ranges chaos-smoke chaos-multi perfgate perfgate-rebaseline ci clean
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/ -q
@@ -95,6 +95,13 @@ perf-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \
 		benchmarks/bench_micro_kernels.py --benchmark-only
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_perf_smoke.py
+
+# Overlay cost: min-of-N wall and modeled ms of each run-time overlay alone
+# and all five together, PR and CC on the 60k-vertex R-MAT; prints the
+# overlay table of docs/performance.md (~5 min; not part of ci).  Pass
+# OVERLAY_COST_ARGS="--before OTHER/src" to add another checkout's column.
+overlay-cost:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_overlay_cost.py $(OVERLAY_COST_ARGS)
 
 # CI smoke: trace a tiny R-MAT run end-to-end and validate the emitted
 # JSONL against the repro-trace schema (exits non-zero on any violation).

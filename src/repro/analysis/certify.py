@@ -62,11 +62,14 @@ import builtins
 import hashlib
 import inspect
 import textwrap
+import types
+import weakref
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
 from repro.analysis.violations import CODES, Violation
+from repro.cache import RunCache
 from repro.errors import CertificationError
 
 __all__ = [
@@ -867,6 +870,33 @@ class Certificate:
         }
 
 
+#: function object -> its dedented source (or ``None`` when it has none).
+#: A function's source is fixed when it is defined, so one read per
+#: function serves every later fingerprint; new or redefined functions
+#: are new keys.
+_SOURCES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _kernel_source(name: str, fn) -> str:
+    """``fn``'s dedented source, memoized per function object."""
+    raw = getattr(fn, "__func__", fn)
+    if isinstance(raw, types.FunctionType):
+        src = _SOURCES.get(raw, False)
+        if src is False:
+            src = _read_source(raw)
+            _SOURCES[raw] = src
+    else:
+        src = _read_source(fn)
+    return f"{name}:<no source>" if src is None else src
+
+
+def _read_source(fn) -> str | None:
+    try:
+        return textwrap.dedent(inspect.getsource(fn))
+    except (OSError, TypeError):
+        return None
+
+
 def program_fingerprint(program) -> str:
     """Content hash of everything the certificate's validity depends on:
     kernel sources, dtypes, reducers, tolerance, declared state, and the
@@ -881,11 +911,7 @@ def program_fingerprint(program) -> str:
     parts.append(repr(float(getattr(program, "tolerance", 0.0))))
     parts.append(repr(tuple(getattr(program, "certify_state", ()))))
     for name in _KERNELS:
-        fn = getattr(program, name, None)
-        try:
-            parts.append(textwrap.dedent(inspect.getsource(fn)))
-        except (OSError, TypeError):
-            parts.append(f"{name}:<no source>")
+        parts.append(_kernel_source(name, getattr(program, name, None)))
     if not isinstance(program, type):
         try:
             inst_vars = vars(program)
@@ -1747,28 +1773,21 @@ def certify_program(program, *, cache=None) -> Certificate:
 
     ``cache`` follows the representation-cache convention: ``None`` uses
     the process-wide default cache, ``False`` disables caching, and a
-    :class:`~repro.cache.RepresentationCache` instance is used directly.
-    Certificates share the cache with representations, keyed by
+    :class:`~repro.cache.RepresentationCache` instance is used directly;
+    a run's :class:`~repro.cache.RunCache` also counts the lookup as the
+    run's.  Certificates share the cache with representations, keyed by
     ``("certificate", fingerprint)``.
     """
-    from repro.cache import resolve_cache
-
     if isinstance(program, type):
         try:
             program = program()
         except Exception:
             pass  # certify the class as far as class attributes allow
     fingerprint = program_fingerprint(program)
-    store = resolve_cache(cache)
-    key = ("certificate", fingerprint)
-    if store is not None:
-        hit = store.peek(key)
-        if isinstance(hit, Certificate):
-            return hit
-    cert = _certify(program, fingerprint)
-    if store is not None:
-        store.put(key, cert)
-    return cert
+    if not isinstance(cache, RunCache):
+        cache = RunCache(None, cache)
+    return cache.lookup(("certificate", fingerprint),
+                        lambda: _certify(program, fingerprint))
 
 
 def certify_violations(program, *, cache=None) -> list[Violation]:
@@ -1794,19 +1813,23 @@ def certify_violations(program, *, cache=None) -> list[Violation]:
     return out
 
 
-def runtime_gate(engine, program, config):
+def runtime_gate(engine, program, config, *, cache=None):
     """Consult the program's certificate before a certify-gated run.
 
-    Called from :meth:`Engine.run` when ``config.certify != "off"``.
-    Returns the config to run with — possibly degraded to the safe
-    full-sweep path under ``certify="warn"`` — or raises
-    :class:`CertificationError` under ``certify="enforce"``.
+    Called from :meth:`Engine.run` when ``config.certify != "off"``, with
+    the run's :class:`~repro.cache.RunCache` as ``cache`` (by default the
+    engine's own cache option).  Returns the config to run with —
+    possibly degraded to the safe full-sweep path under
+    ``certify="warn"`` — or raises :class:`CertificationError` under
+    ``certify="enforce"``.
     """
     tracer = config.tracer
     metrics = tracer.metrics
     name = str(getattr(program, "name", type(program).__name__))
+    if cache is None:
+        cache = getattr(engine, "cache", None)
     with tracer.span("analysis.certify.gate", "analysis", program=name):
-        cert = certify_program(program, cache=getattr(engine, "cache", None))
+        cert = certify_program(program, cache=cache)
         metrics.counter("analysis.certify.certified").inc()
         for check in cert.checks:
             metrics.counter(

@@ -81,11 +81,13 @@ from repro.analysis.certify import (
     program_fingerprint,
 )
 from repro.analysis.violations import Violation
+from repro.cache import RunCache
 
 __all__ = [
     "RANGE_CHECK_CODES",
     "FieldRange",
     "GraphBounds",
+    "degree_maxima",
     "RangesCertificate",
     "ranges_fingerprint",
     "analyze_ranges",
@@ -132,6 +134,14 @@ def _fields_stats(arr: np.ndarray | None) -> tuple:
     )
 
 
+def degree_maxima(graph) -> tuple[int, int]:
+    """``(max in-degree, max out-degree)`` of ``graph`` (0 when empty)."""
+    in_deg = graph.in_degrees()
+    out_deg = graph.out_degrees()
+    return (int(in_deg.max()) if in_deg.size else 0,
+            int(out_deg.max()) if out_deg.size else 0)
+
+
 @dataclass(frozen=True)
 class GraphBounds:
     """Concrete value bounds of one (graph, program) pairing.
@@ -151,14 +161,19 @@ class GraphBounds:
     edge: tuple
 
     @classmethod
-    def from_graph(cls, graph, program) -> "GraphBounds":
-        in_deg = graph.in_degrees()
-        out_deg = graph.out_degrees()
+    def from_graph(cls, graph, program, *, cache=None) -> "GraphBounds":
+        """The bounds of ``program`` on ``graph``.  The degree maxima
+        depend on the topology only, so they come through ``cache`` (a
+        :class:`~repro.cache.RunCache`) when one is given."""
+        if cache is None:
+            cache = RunCache(graph, False)
+        max_in, max_out = cache.get(("degree-max",),
+                                    lambda: degree_maxima(graph))
         return cls(
             num_vertices=int(graph.num_vertices),
             num_edges=int(graph.num_edges),
-            max_in_degree=int(in_deg.max()) if in_deg.size else 0,
-            max_out_degree=int(out_deg.max()) if out_deg.size else 0,
+            max_in_degree=max_in,
+            max_out_degree=max_out,
             init=_fields_stats(program.initial_values(graph)),
             static=_fields_stats(program.static_values(graph)),
             edge=_fields_stats(program.edge_values(graph)),
@@ -1682,31 +1697,31 @@ def analyze_ranges(program, graph, *, cache=None) -> RangesCertificate:
     """Run the abstract interpretation for ``program`` on ``graph``.
 
     ``cache`` follows the representation-cache convention (``None`` =
-    process default, ``False`` = disabled, instance = use directly);
-    results key by ``("ranges", fingerprint)`` where the fingerprint
+    process default, ``False`` = disabled, instance = use directly); a
+    run's :class:`~repro.cache.RunCache` (whose graph must be ``graph``)
+    also serves the degree maxima and counts every lookup as the run's.
+    Results key by ``("ranges", fingerprint)`` where the fingerprint
     covers the program *and* the graph bounds.
     """
     from repro.analysis.certify import certify_program
-    from repro.cache import resolve_cache
 
     if isinstance(program, type):
         try:
             program = program()
         except Exception:
             pass
+    run = cache if isinstance(cache, RunCache) else None
     cert = certify_program(program, cache=cache)
-    bounds = GraphBounds.from_graph(graph, program)
+    # Only a run's cache serves the degree maxima: the run hashes its
+    # graph anyway, while hashing it just for them costs more than the
+    # bincounts they take.
+    bounds = GraphBounds.from_graph(graph, program, cache=run)
     fingerprint = ranges_fingerprint(program, bounds)
-    store = resolve_cache(cache)
-    key = ("ranges", fingerprint)
-    if store is not None:
-        hit = store.peek(key)
-        if isinstance(hit, RangesCertificate):
-            return hit
-    out = _analyze(program, graph, cert, bounds, fingerprint)
-    if store is not None:
-        store.put(key, out)
-    return out
+    if run is None:
+        run = RunCache(graph, cache)
+    return run.lookup(("ranges", fingerprint),
+                      lambda: _analyze(program, graph, cert, bounds,
+                                       fingerprint))
 
 
 def ranges_violations(program, graph, *, cache=None) -> list[Violation]:

@@ -57,6 +57,7 @@ import numpy as np
 
 __all__ = [
     "RepresentationCache",
+    "RunCache",
     "graph_fingerprint",
     "default_cache",
     "resolve_cache",
@@ -67,12 +68,14 @@ def graph_fingerprint(graph) -> str:
     """Structural content hash of a :class:`~repro.graph.digraph.DiGraph`.
 
     Hashes the vertex count plus the raw bytes of the ``src`` and ``dst``
-    arrays.  Weights are deliberately excluded (see module docstring).
+    arrays, read in place through the buffer protocol (no copy of a
+    contiguous array).  Weights are deliberately excluded (see module
+    docstring).
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(np.int64(graph.num_vertices).tobytes())
-    h.update(np.ascontiguousarray(graph.src).tobytes())
-    h.update(np.ascontiguousarray(graph.dst).tobytes())
+    h.update(np.ascontiguousarray(graph.src))
+    h.update(np.ascontiguousarray(graph.dst))
     return h.hexdigest()
 
 
@@ -190,6 +193,61 @@ class RepresentationCache:
             f"RepresentationCache(entries={len(self._store)}, "
             f"hits={self.hits}, misses={self.misses})"
         )
+
+
+class RunCache:
+    """One run's view of the representation cache.
+
+    :class:`~repro.frameworks.base.Engine.run` makes one per run and hands
+    it to the certify and narrow gates and to the engine, so the whole
+    run shares one graph fingerprint and one hit/miss tally.
+
+    :meth:`get` takes structural keys without the graph fingerprint —
+    ``get(("cw", N), ...)`` looks up ``("cw", fingerprint, N)`` — and the
+    fingerprint is computed once, on the first such lookup.
+    :meth:`lookup` takes keys that already say everything the artifact
+    depends on (the certificates, keyed by program fingerprint).  Every
+    lookup counts as a hit or a miss of this run, so :attr:`hits` /
+    :attr:`misses` are exact even when other threads share the cache.
+    ``cache`` is an engine's cache option (``None``, ``False`` or a
+    :class:`RepresentationCache`); with caching disabled, both methods
+    just build.
+    """
+
+    __slots__ = ("graph", "cache", "hits", "misses", "_fp")
+
+    def __init__(self, graph, cache) -> None:
+        self.graph = graph
+        self.cache = resolve_cache(cache)
+        self.hits = 0
+        self.misses = 0
+        self._fp: str | None = None
+
+    def get(self, key: tuple, build: Callable[[], Any]) -> Any:
+        """The artifact of this run's graph under ``key``."""
+        if self.cache is None:
+            return build()
+        if self._fp is None:
+            self._fp = graph_fingerprint(self.graph)
+        return self.lookup((key[0], self._fp, *key[1:]), build)
+
+    def lookup(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The artifact under ``key`` as given, counted as this run's."""
+        if self.cache is None:
+            return build()
+        built = False
+
+        def builder():
+            nonlocal built
+            built = True
+            return build()
+
+        value = self.cache.get(key, builder)
+        if built:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
 
 
 _DEFAULT = RepresentationCache()

@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.cache import RunCache
 from repro.errors import ConfigError, ConvergenceError
 from repro.graph.digraph import DiGraph
 from repro.gpu.stats import KernelStats
@@ -460,6 +461,12 @@ class Engine(ABC):
             from repro.analysis.preflight import preflight
 
             preflight(self, graph, program, config)
+        # One cache view serves the gates and the engine, so a run hashes
+        # its graph once and counts every lookup it makes.  The reference
+        # path never consults the cache, keeping the equivalence baseline
+        # free of memoization.
+        cache = RunCache(graph, False if config.exec_path == "reference"
+                         else getattr(self, "cache", None))
         if config.certify != "off":
             # The kernel certifier gates the fast paths that silently
             # assume the program's algebra (frontier sweeps, async
@@ -467,7 +474,7 @@ class Engine(ABC):
             # returns a degraded (full-sweep) config with an F407 event.
             from repro.analysis.certify import runtime_gate
 
-            config = runtime_gate(self, program, config)
+            config = runtime_gate(self, program, config, cache=cache)
         widen_back = None
         if config.narrow != "off":
             # Proven-safe dtype narrowing: when the range certificates
@@ -476,20 +483,22 @@ class Engine(ABC):
             from repro.frameworks.narrow import narrow_gate
 
             program, config, widen_back = narrow_gate(
-                self, graph, program, config
+                self, graph, program, config, cache=cache
             )
         if config.faults.active:
             config.faults.representations(self, graph, program, config)
-        result = self._run(graph, program, config)
+        result = self._run(graph, program, config, cache)
         if widen_back is not None:
             result.values = widen_back(result.values)
         return result
 
     @abstractmethod
     def _run(
-        self, graph: DiGraph, program: VertexProgram, config: RunConfig
+        self, graph: DiGraph, program: VertexProgram, config: RunConfig,
+        cache: RunCache,
     ) -> RunResult:
-        """Engine-specific execution under a normalized :class:`RunConfig`."""
+        """Engine-specific execution under a normalized :class:`RunConfig`,
+        looking up representations through the run's ``cache``."""
 
     def preflight_representations(
         self, graph: DiGraph, program: VertexProgram, config: RunConfig

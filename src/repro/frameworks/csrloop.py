@@ -53,7 +53,7 @@ class CSRProblem:
         built fresh, once per run, in CSR slot order (static records are
         gathered through the sources here, not in every chunk).
         ``cache`` is an engine cache option (``cache=False`` disables the
-        memo) or a run's :class:`~repro.frameworks.driver.RunCache`.
+        memo) or a run's :class:`~repro.cache.RunCache`.
         """
         if not isinstance(cache, RunCache):
             cache = RunCache(graph, cache)

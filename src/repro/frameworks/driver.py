@@ -10,8 +10,9 @@ only place in :mod:`repro.frameworks` (apart from the independent
 - the run span, the iteration spans and their attributes, the stage spans
   an engine hands back, the ``engine.updated_vertices`` histogram and the
   end-of-run metrics;
-- representation-cache lookups (:class:`RunCache`, which counts every hit
-  and miss of the run);
+- representation-cache lookups (through the run's
+  :class:`~repro.cache.RunCache`, which counts every hit and miss of the
+  run, the certify and narrow gates' lookups included);
 - the frontier: the influence CSR, :class:`ShardFrontier`, the
   per-iteration direction choice, ``begin_iteration``, the updated-vertex
   mask and the pull-side ``defer``;
@@ -35,14 +36,14 @@ from typing import Callable
 
 import numpy as np
 
-from repro.cache import graph_fingerprint, resolve_cache
+from repro.cache import RunCache
 from repro.frameworks.base import (ConvergenceError, Engine, IterationTrace,
                                    RunConfig, RunResult)
 from repro.frameworks.frontier import ShardFrontier, vertex_influence_csr
 from repro.graph.digraph import DiGraph
 from repro.gpu.pcie import transfer_ms
 from repro.gpu.stats import KernelStats
-from repro.placement import multi_device_run
+from repro.placement import multi_device_run, remote_unit_counts
 from repro.telemetry.metrics import publish_kernel_stats
 from repro.vertexcentric.program import VertexProgram
 
@@ -57,47 +58,6 @@ def concat(parts: list[np.ndarray]) -> np.ndarray:
     if not parts:
         return _EMPTY
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-class RunCache:
-    """One run's view of the representation cache.
-
-    Keys are given without the graph fingerprint — ``get(("cw", N), ...)``
-    looks up ``("cw", fingerprint, N)`` — and the fingerprint is computed
-    once, on the first lookup.  Every lookup counts as a hit or a miss of
-    this run, so :attr:`hits` / :attr:`misses` are exact even when other
-    threads share the cache.  ``cache`` is an engine's cache option
-    (``None``, ``False`` or a :class:`~repro.cache.RepresentationCache`);
-    with caching disabled, ``get`` just builds.
-    """
-
-    __slots__ = ("graph", "cache", "hits", "misses", "_fp")
-
-    def __init__(self, graph: DiGraph, cache) -> None:
-        self.graph = graph
-        self.cache = resolve_cache(cache)
-        self.hits = 0
-        self.misses = 0
-        self._fp: str | None = None
-
-    def get(self, key: tuple, build: Callable[[], object]):
-        if self.cache is None:
-            return build()
-        if self._fp is None:
-            self._fp = graph_fingerprint(self.graph)
-        built = False
-
-        def builder():
-            nonlocal built
-            built = True
-            return build()
-
-        value = self.cache.get((key[0], self._fp, *key[1:]), builder)
-        if built:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
 
 
 @dataclass
@@ -163,7 +123,7 @@ class IterationDriver:
 
     def __init__(
         self, engine: "DrivenEngine", graph: DiGraph,
-        program: VertexProgram, config: RunConfig,
+        program: VertexProgram, config: RunConfig, cache: RunCache,
     ) -> None:
         self.engine = engine
         self.graph = graph
@@ -171,11 +131,8 @@ class IterationDriver:
         self.config = config
         self.tracer = config.tracer
         self.trace_on = self.tracer.enabled
-        # The reference path never consults the cache, keeping the
-        # equivalence baseline free of memoization.
-        self.cache = RunCache(
-            graph, False if config.exec_path == "reference" else engine.cache
-        )
+        #: The run's cache view (see :meth:`Engine.run`).
+        self.cache = cache
         #: The run's dirty bitmap (``None`` with the frontier off); sweeps
         #: read it on push iterations.
         self.frontier: ShardFrontier | None = None
@@ -207,7 +164,11 @@ class IterationDriver:
             total_edges = int(unit_edges.sum())
             mdr = multi_device_run(
                 config, U, weights=unit_edges,
-                src_unit=graph.src // N, dst_unit=graph.dst // N,
+                remote_counts=lambda placement: self.cache.get(
+                    ("remote", N, placement),
+                    lambda: remote_unit_counts(graph.src // N,
+                                               graph.dst // N, placement),
+                ),
                 value_bytes=program.vertex_value_bytes, pcie=engine.pcie,
             )
             if config.frontier != "off":
@@ -404,9 +365,10 @@ class DrivenEngine(Engine):
     model a GPU — ``pcie`` and ``cost_model``."""
 
     def _run(
-        self, graph: DiGraph, program: VertexProgram, config: RunConfig
+        self, graph: DiGraph, program: VertexProgram, config: RunConfig,
+        cache: RunCache,
     ) -> RunResult:
-        return IterationDriver(self, graph, program, config).run()
+        return IterationDriver(self, graph, program, config, cache).run()
 
     def _run_attrs(self) -> dict:
         """Extra attributes of the run span."""

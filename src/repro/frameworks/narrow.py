@@ -55,19 +55,45 @@ class NarrowedProgram(VertexProgram):
         self.ranges = dict(ranges)
         wide = inner.vertex_dtype
         self._wide_dtype = wide
+        #: field -> (wide base dtype, narrow base dtype).
+        self._bases: dict[str, tuple[np.dtype, np.dtype]] = {}
         #: field -> (wide base dtype, narrow sentinel value) for fields
         #: whose proven range includes the UINT_INF sentinel.
         self._sentinel: dict[str, tuple[np.dtype, np.generic]] = {}
+        #: field -> the signed dtype of its narrow width, for sentinel
+        #: fields widened by sign extension (see :meth:`_widen_field`).
+        self._sign_extend: dict[str, np.dtype] = {}
+        #: Sentinel fields the narrowing cast does not already map to the
+        #: narrow sentinel (casting UINT_INF to an unsigned dtype keeps
+        #: its low bits, all ones: that dtype's max).
+        self._remap: set[str] = set()
         descr = []
         for fname in wide.names:
             ft = wide.fields[fname][0]
             base = ft.base if ft.subdtype is not None else ft
             shape = ft.shape if ft.subdtype is not None else ()
             nd = self.plan.get(fname, base)
+            self._bases[fname] = (base, nd)
             if fname in self.plan and self.ranges[fname][2]:
-                self._sentinel[fname] = (base, nd.type(np.iinfo(nd).max))
+                smax = nd.type(np.iinfo(nd).max)
+                self._sentinel[fname] = (base, smax)
+                hi = self.ranges[fname][1]
+                if (nd.kind == "u" and base == np.dtype(np.uint32)
+                        and hi < 2 ** (8 * nd.itemsize - 1)):
+                    self._sign_extend[fname] = np.dtype(f"i{nd.itemsize}")
+                if np.array(UINT_INF, dtype=base).astype(nd) != smax:
+                    self._remap.add(fname)
             descr.append((fname, nd, shape) if shape else (fname, nd))
         self.vertex_dtype = np.dtype(descr)
+        #: The one field of a scalar single-field record (``None`` for
+        #: multi-field or subarray layouts): its conversions are views of
+        #: the converted field array, with no per-record struct copy.
+        self._single: str | None = None
+        if len(wide.names) == 1:
+            ft, offset = wide.fields[wide.names[0]][:2]
+            if ft.subdtype is None and offset == 0 and (
+                    wide.itemsize == ft.itemsize):
+                self._single = wide.names[0]
         # Delegated declarations (the narrowed struct is the only change).
         self.name = inner.name
         self.static_dtype = inner.static_dtype
@@ -79,34 +105,49 @@ class NarrowedProgram(VertexProgram):
     # -- lossless dtype conversion --------------------------------------
     def widen(self, arr: np.ndarray) -> np.ndarray:
         """Narrow storage -> original wide dtype (sentinel remapped)."""
+        if self._single is not None:
+            fname = self._single
+            return self._widen_field(fname, arr[fname]).view(
+                self._wide_dtype)
         out = np.empty(arr.shape, dtype=self._wide_dtype)
         for fname in self._wide_dtype.names:
-            data = arr[fname]
-            sent = self._sentinel.get(fname)
-            if sent is not None:
-                base, smax = sent
-                w = data.astype(base)
-                w[data == smax] = UINT_INF
-                out[fname] = w
-            else:
-                out[fname] = data
+            out[fname] = self._widen_field(fname, arr[fname])
         return out
 
     def narrow(self, arr: np.ndarray) -> np.ndarray:
         """Original wide dtype -> narrow storage (sentinel remapped)."""
+        if self._single is not None:
+            fname = self._single
+            return self._narrow_field(fname, arr[fname]).view(
+                self.vertex_dtype)
         out = np.empty(arr.shape, dtype=self.vertex_dtype)
         for fname in self._wide_dtype.names:
-            data = arr[fname]
-            sent = self._sentinel.get(fname)
-            if sent is not None:
-                ft = self.vertex_dtype.fields[fname][0]
-                nbase = ft.base if ft.subdtype is not None else ft
-                n = data.astype(nbase)
-                n[data == UINT_INF] = sent[1]
-                out[fname] = n
-            else:
-                out[fname] = data
+            out[fname] = self._narrow_field(fname, arr[fname])
         return out
+
+    def _widen_field(self, fname: str, data: np.ndarray) -> np.ndarray:
+        """One field's narrow storage as a new array of its wide base."""
+        signed = self._sign_extend.get(fname)
+        if signed is not None:
+            # The proven range keeps every value below the narrow sign
+            # bit, so only the sentinel (all ones) reads as negative, and
+            # sign extension turns it into all ones at the wide width:
+            # UINT_INF.  One cast, with no compare or scatter.
+            return data.view(signed).astype(np.int32).view(np.uint32)
+        sent = self._sentinel.get(fname)
+        if sent is None:
+            return data.astype(self._bases[fname][0])
+        base, smax = sent
+        wide = data.astype(base)
+        wide[data == smax] = UINT_INF
+        return wide
+
+    def _narrow_field(self, fname: str, data: np.ndarray) -> np.ndarray:
+        """One field's wide values as a new array of its narrow base."""
+        narrow = data.astype(self._bases[fname][1])
+        if fname in self._remap:
+            narrow[data == UINT_INF] = self._sentinel[fname][1]
+        return narrow
 
     def _widen_value(self, fname: str, val):
         arr = np.asarray(val)
@@ -257,24 +298,25 @@ class RangeProbeHooks(FaultHooks):
                 )])
 
 
-def narrow_gate(engine, graph, program, config):
+def narrow_gate(engine, graph, program, config, *, cache=None):
     """Resolve ``narrow="auto"`` for one run.
 
-    Called from :meth:`Engine.run` after the certify gate.  Returns
-    ``(program, config, widen_back)``: the (possibly wrapped) program,
-    the (possibly adjusted) config, and a callable that widens the final
-    ``RunResult.values`` back to the declared dtype — ``None`` when no
-    field narrowed.
+    Called from :meth:`Engine.run` after the certify gate, with the run's
+    :class:`~repro.cache.RunCache` as ``cache`` (by default the engine's
+    own cache option).  Returns ``(program, config, widen_back)``: the
+    (possibly wrapped) program, the (possibly adjusted) config, and a
+    callable that widens the final ``RunResult.values`` back to the
+    declared dtype — ``None`` when no field narrowed.
     """
     from repro.analysis.ranges import analyze_ranges, narrowing_plan
 
     tracer = config.tracer
     metrics = tracer.metrics
     name = str(getattr(program, "name", type(program).__name__))
+    if cache is None:
+        cache = getattr(engine, "cache", None)
     with tracer.span("analysis.ranges.gate", "analysis", program=name):
-        cert = analyze_ranges(
-            program, graph, cache=getattr(engine, "cache", None)
-        )
+        cert = analyze_ranges(program, graph, cache=cache)
         metrics.counter("analysis.ranges.analyzed").inc()
         for check in cert.checks:
             metrics.counter(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cache import RunCache
 from repro.frameworks.base import (ConvergenceError, Engine, IterationTrace,
                                    RunConfig, RunResult)
 from repro.graph.digraph import DiGraph
@@ -57,7 +58,8 @@ class ScalarReferenceEngine(Engine):
         return {}
 
     def _run(
-        self, graph: DiGraph, program: VertexProgram, config: RunConfig
+        self, graph: DiGraph, program: VertexProgram, config: RunConfig,
+        cache: RunCache,
     ) -> RunResult:
         tracer = config.tracer
         with tracer.span(

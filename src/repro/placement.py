@@ -37,6 +37,7 @@ remote slots of the units that wrote back this iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -319,8 +320,7 @@ def multi_device_run(
     num_units: int,
     *,
     weights: np.ndarray,
-    src_unit: np.ndarray,
-    dst_unit: np.ndarray,
+    remote_counts: Callable[[Placement], np.ndarray],
     value_bytes: int,
     pcie: PCIeSpec,
 ) -> MultiDeviceRun | None:
@@ -328,8 +328,11 @@ def multi_device_run(
 
     The one call every sharded engine makes once its unit structure is
     known: resolves the placement (explicit or deterministic block),
-    derives the remote slot counts from the edge endpoints, and returns
-    the armed :class:`MultiDeviceRun`.
+    gets its remote slot counts from ``remote_counts(placement)`` and
+    returns the armed :class:`MultiDeviceRun`.  The counts are static for
+    a graph, unit size and placement, so the iteration driver's
+    ``remote_counts`` serves them from the run's cache (building them
+    with :func:`remote_unit_counts`); a single-device run never asks.
     """
     if config.devices <= 1:
         return None
@@ -339,12 +342,10 @@ def multi_device_run(
             knob="devices",
         )
     placement = resolve_placement(config, num_units)
-    src_unit = np.asarray(src_unit, dtype=np.int64)
-    dst_unit = np.asarray(dst_unit, dtype=np.int64)
     return MultiDeviceRun(
         placement,
         weights=weights,
-        remote_counts=remote_unit_counts(src_unit, dst_unit, placement),
+        remote_counts=remote_counts(placement),
         value_bytes=value_bytes,
         pcie=pcie,
     )

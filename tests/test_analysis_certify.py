@@ -9,6 +9,7 @@ batching fast paths, and the ``repro check --certify`` CLI surface.
 See the kernel-certification section of ``docs/analysis.md``.
 """
 
+import inspect
 import json
 
 import numpy as np
@@ -136,6 +137,37 @@ class TestFingerprintAndCache:
         fps = {program_fingerprint(make_program(n, graph))
                for n in PROGRAM_NAMES}
         assert len(fps) == len(PROGRAM_NAMES)
+
+    def test_memoized_sources_keep_same_named_kernels_apart(
+            self, monkeypatch):
+        from repro.algorithms.cc import ConnectedComponents
+
+        def twin(pass_through):
+            # Same module, qualified name and kernel names; only the body
+            # of ``messages`` differs.
+            if pass_through:
+                class Twin(ConnectedComponents):
+                    def messages(self, src_vals, src_static, edge_vals,
+                                 dest_old):
+                        return {"cmpnent": src_vals["cmpnent"]}, None
+            else:
+                class Twin(ConnectedComponents):
+                    def messages(self, src_vals, src_static, edge_vals,
+                                 dest_old):
+                        return {"cmpnent": src_vals["cmpnent"] + 0}, None
+            return Twin
+
+        a, b = twin(True)(), twin(False)()
+        assert type(a).__qualname__ == type(b).__qualname__
+        first = program_fingerprint(a), program_fingerprint(b)
+        assert first[0] != first[1]
+
+        def no_source(fn):
+            raise AssertionError("kernel source read again")
+
+        # Both are memoized now: no source is read, and they stay apart.
+        monkeypatch.setattr(inspect, "getsource", no_source)
+        assert (program_fingerprint(a), program_fingerprint(b)) == first
 
     def test_certificates_cache_by_fingerprint(self, graph):
         cache = RepresentationCache()

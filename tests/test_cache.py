@@ -43,6 +43,13 @@ class TestFingerprint:
         g.dst[0] = (g.dst[0] + 1) % g.num_vertices
         assert graph_fingerprint(g) != fp0
 
+    def test_digest_is_pinned(self):
+        # Every cache key embeds this digest: a change to how it is
+        # computed must be deliberate, never a side effect.
+        g = DiGraph(np.array([0, 1, 2, 3, 4, 0]), np.array([1, 2, 3, 4, 0, 2]),
+                    5)
+        assert graph_fingerprint(g) == "6a676e8a0e803c48185bea43f6280133"
+
     def test_vertex_count_changes_fingerprint(self):
         g = _graph()
         g2 = DiGraph(g.src, g.dst, g.num_vertices + 1)

@@ -12,6 +12,7 @@ contract in ``docs/programming_guide.md``.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import make_program
 from repro.analysis.perf import drift_gate, narrowed_audit, perf_audit
@@ -178,3 +179,101 @@ class TestKnobs:
         off = _config_key(RunConfig(narrow="off"))
         auto = _config_key(RunConfig(narrow="auto"))
         assert off != auto
+
+
+def _generic_widen(wrapped, arr):
+    """The per-field conversion loop: a struct copy per record and a
+    boolean scatter for the sentinel."""
+    out = np.empty(arr.shape, dtype=wrapped.inner.vertex_dtype)
+    for fname in out.dtype.names:
+        data = arr[fname]
+        if fname in wrapped._sentinel:
+            base, smax = wrapped._sentinel[fname]
+            w = data.astype(base)
+            w[data == smax] = UINT_INF
+            out[fname] = w
+        else:
+            out[fname] = data
+    return out
+
+
+def _generic_narrow(wrapped, arr):
+    out = np.empty(arr.shape, dtype=wrapped.vertex_dtype)
+    for fname in out.dtype.names:
+        data = arr[fname]
+        if fname in wrapped._sentinel:
+            ft = out.dtype.fields[fname][0]
+            n = data.astype(ft.base)
+            n[data == UINT_INF] = wrapped._sentinel[fname][1]
+            out[fname] = n
+        else:
+            out[fname] = data
+    return out
+
+
+_LAYOUTS = {
+    # name -> vertex dtype for k subarray columns; "c" narrows to int16
+    "single": lambda k: [("level", np.uint32)],
+    "subarray": lambda k: [("level", np.uint32, (k,))],
+    "multi": lambda k: [("level", np.uint32), ("w", np.float32),
+                        ("c", np.int32)],
+    "multi-subarray": lambda k: [("c", np.int32), ("level", np.uint32, (k,))],
+}
+
+
+@st.composite
+def _narrowing_case(draw):
+    layout = draw(st.sampled_from(sorted(_LAYOUTS)))
+    k = draw(st.integers(1, 4))
+    narrow = np.dtype(draw(st.sampled_from([np.uint8, np.uint16])))
+    hi = draw(st.integers(0, int(np.iinfo(narrow).max) - 1))
+    n = draw(st.integers(0, 40))
+    levels = draw(st.lists(
+        st.one_of(st.just(hi), st.just(int(UINT_INF)), st.integers(0, hi)),
+        min_size=n * k, max_size=n * k))
+    ints = draw(st.lists(st.integers(-30000, 30000), min_size=n,
+                         max_size=n))
+    return layout, k, narrow, hi, levels, ints
+
+
+def _case_arrays(graph, case):
+    layout, k, narrow, hi, levels, ints = case
+    program = make_program("bfs", graph)
+    program.vertex_dtype = np.dtype(_LAYOUTS[layout](k))
+    plan = {"level": narrow}
+    ranges = {"level": (0.0, float(hi), True)}
+    if "c" in program.vertex_dtype.names:
+        plan["c"] = np.dtype(np.int16)
+        ranges["c"] = (-30000.0, 30000.0, False)
+    wrapped = NarrowedProgram(program, plan, ranges)
+    wide = np.zeros(len(ints), dtype=program.vertex_dtype)
+    shape = wide["level"].shape
+    wide["level"] = np.asarray(levels[:int(np.prod(shape))],
+                               dtype=np.uint32).reshape(shape)
+    for fname in set(wide.dtype.names) - {"level"}:
+        wide[fname] = ints
+    return wrapped, wide
+
+
+class TestFastConversions:
+    @settings(max_examples=120, deadline=None)
+    @given(case=_narrowing_case())
+    def test_round_trip_and_generic_agreement(self, graph, case):
+        wrapped, wide = _case_arrays(graph, case)
+        narrow = wrapped.narrow(wide)
+        assert narrow.dtype == wrapped.vertex_dtype
+        assert narrow.tobytes() == _generic_narrow(wrapped, wide).tobytes()
+        back = wrapped.widen(narrow)
+        assert back.dtype == wide.dtype
+        assert back.tobytes() == wide.tobytes()
+        assert back.tobytes() == _generic_widen(wrapped, narrow).tobytes()
+
+    def test_single_field_widen_is_a_fresh_array(self, graph):
+        wrapped, wide = _case_arrays(
+            graph, ("single", 1, np.dtype(np.uint16), 9, [9, UINT_INF, 0],
+                    [0, 0, 0]))
+        narrow = wrapped.narrow(wide)
+        back = wrapped.widen(narrow)
+        assert not np.shares_memory(back, narrow)
+        back["level"][:] = 1
+        assert wrapped.widen(narrow).tobytes() == wide.tobytes()

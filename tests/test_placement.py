@@ -90,9 +90,12 @@ class TestPlacement:
         assert resolve_placement(cfg, 9) == Placement.block(9, 2)
 
     def test_multi_device_run_none_for_single_device(self):
+        def never(placement):
+            raise AssertionError("remote counts asked for on one device")
+
         assert multi_device_run(
-            RunConfig(), 4, weights=np.ones(4), src_unit=np.zeros(1),
-            dst_unit=np.zeros(1), value_bytes=4, pcie=None) is None
+            RunConfig(), 4, weights=np.ones(4), remote_counts=never,
+            value_bytes=4, pcie=None) is None
 
 
 class TestRunConfigValidation:
