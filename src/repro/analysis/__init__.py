@@ -58,7 +58,7 @@ from repro.analysis.perf import (
     DriftReport,
     StagePrediction,
     audit_cw,
-    compare_bench_reports,
+    compare_reports,
     cost_contract_check,
     drift_gate,
     perf_audit,
@@ -111,7 +111,7 @@ __all__ = [
     "certify_program",
     "certify_violations",
     "collect_violations",
-    "compare_bench_reports",
+    "compare_reports",
     "cost_contract_check",
     "describe",
     "drift_gate",

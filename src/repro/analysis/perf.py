@@ -31,18 +31,23 @@ checked contract, in three layers:
     toleranced for instruction costs (``P312``).  This is what catches a
     fast-path or pricing refactor that silently changes the model.
 
-**Benchmark comparator** (:func:`compare_bench_reports`)
-    Diff a fresh ``BENCH_perf_smoke.json`` against the committed baseline
-    with per-metric relative thresholds (``P320``) after verifying the
-    two runs are comparable at all — same graph, program, and per-engine
-    ``exec_path`` (``P321``).  The service-throughput gate holds the
-    batching contract (``P322``) and drifts ``BENCH_service.json``
-    against its baseline (``P323``); the frontier gate holds the
-    work-efficiency contract — sparse tail iterations must price at
-    least :data:`~repro.analysis.budgets.FRONTIER_MIN_MODEL_SAVINGS`
-    times fewer modeled warp instructions than the full sweep (``P324``)
-    — and drifts ``BENCH_frontier.json`` against its baseline
-    (``P325``).  ``python -m repro perfgate`` drives all of it.
+**Benchmark layers** (:data:`BENCH_LAYERS`, :func:`compare_reports`)
+    One table row per benchmark layer.  Each diffs a fresh
+    ``BENCH_<layer>.json`` against its committed baseline after checking
+    the two runs are comparable at all (same workload and, per engine,
+    same ``exec_path``; ``P321``): an exact metric must not change and a
+    timing metric must not regress beyond its one-sided relative
+    threshold.  The drift codes are ``P320`` (perf smoke), ``P323``
+    (service), ``P325`` (frontier), ``P327`` (ranges) and ``P329``
+    (placement).  Four layers also hold an absolute contract that needs
+    no baseline: batched service throughput (``P322``); frontier work
+    efficiency, where sparse tail iterations must price at least
+    :data:`~repro.analysis.budgets.FRONTIER_MIN_MODEL_SAVINGS` times
+    fewer modeled warp instructions than the full sweep (``P324``);
+    the modeled byte reduction of proven-safe narrowing (``P326``); and
+    bit-exact multi-device placement with a priced exchange and a
+    modeled speedup (``P328``).  ``python -m repro perfgate`` drives all
+    of it.
 
 CuSha stage predictions here intentionally mirror the *reference*
 per-shard pricing loop using only the simple (non-segmented) primitives;
@@ -52,6 +57,8 @@ segmented pricing helpers in :mod:`repro.frameworks.wavebatch` as well.
 
 from __future__ import annotations
 
+import copy
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,15 +92,13 @@ __all__ = [
     "narrowed_audit",
     "perf_audit",
     "drift_gate",
-    "compare_bench_reports",
+    "BenchLayer",
+    "BENCH_LAYERS",
+    "compare_reports",
     "check_service_contract",
-    "compare_service_reports",
     "check_frontier_contract",
-    "compare_frontier_reports",
     "check_ranges_contract",
-    "compare_ranges_reports",
     "check_placement_contract",
-    "compare_placement_reports",
 ]
 
 
@@ -771,73 +776,7 @@ def drift_gate(
 
 
 # ----------------------------------------------------------------------
-# Benchmark comparator (P320 / P321)
-# ----------------------------------------------------------------------
-
-def compare_bench_reports(baseline: dict, current: dict) -> list[Violation]:
-    """Diff a fresh perf_smoke report against the committed baseline.
-
-    ``P321`` when the runs are not comparable (different graph, program,
-    engine set, or per-engine ``exec_path``); ``P320`` when an exact
-    metric changed or a timing metric regressed beyond its one-sided
-    relative threshold.  Improvements never fail.
-    """
-    out: list[Violation] = []
-    for key in budgets.PERFGATE_MATCH_KEYS:
-        if baseline.get(key) != current.get(key):
-            out.append(Violation(
-                "P321",
-                f"run configuration '{key}' differs: baseline "
-                f"{baseline.get(key)!r} vs current {current.get(key)!r}",
-                subject="perfgate",
-            ))
-    bengines = baseline.get("engines", {})
-    cengines = current.get("engines", {})
-    if set(bengines) != set(cengines):
-        out.append(Violation(
-            "P321",
-            f"engine sets differ: baseline {sorted(bengines)} vs "
-            f"current {sorted(cengines)}",
-            subject="perfgate",
-        ))
-    thr = budgets.PERFGATE_TIMING_THRESHOLD
-    for ek in sorted(set(bengines) & set(cengines)):
-        b, c = bengines[ek], cengines[ek]
-        for pk in ("exec_path", "reference_exec_path"):
-            if b.get(pk) != c.get(pk):
-                out.append(Violation(
-                    "P321",
-                    f"{ek}: {pk} differs (baseline {b.get(pk)!r} vs "
-                    f"current {c.get(pk)!r}); refusing to compare "
-                    "timings across execution paths",
-                    subject="perfgate",
-                ))
-        for mk in budgets.PERFGATE_EXACT_METRICS:
-            if b.get(mk) != c.get(mk):
-                out.append(Violation(
-                    "P320",
-                    f"{ek}: exact metric {mk} changed from {b.get(mk)!r} "
-                    f"to {c.get(mk)!r}",
-                    subject="perfgate",
-                ))
-        for mk in budgets.PERFGATE_TIMING_METRICS:
-            bv, cv = b.get(mk), c.get(mk)
-            if not isinstance(bv, (int, float)) or \
-                    not isinstance(cv, (int, float)) or bv <= 0:
-                continue
-            rel = (cv - bv) / bv
-            if rel > thr:
-                out.append(Violation(
-                    "P320",
-                    f"{ek}: {mk} regressed {rel:+.1%} "
-                    f"({bv:.4f}s -> {cv:.4f}s), threshold +{thr:.0%}",
-                    subject="perfgate",
-                ))
-    return out
-
-
-# ----------------------------------------------------------------------
-# Service throughput gate (P322 / P323)
+# Benchmark layers (P320-P329): absolute contracts, then one comparator
 # ----------------------------------------------------------------------
 
 def check_service_contract(report: dict) -> list[Violation]:
@@ -867,53 +806,6 @@ def check_service_contract(report: dict) -> list[Violation]:
         )]
     return []
 
-
-def compare_service_reports(baseline: dict, current: dict) -> list[Violation]:
-    """Diff a fresh service report against the committed service baseline.
-
-    ``P321`` when the workloads are not comparable; ``P323`` when a
-    deterministic metric changed or a wall-clock metric regressed beyond
-    the one-sided threshold.  Improvements never fail.
-    """
-    out: list[Violation] = []
-    for key in budgets.SERVICE_MATCH_KEYS:
-        if baseline.get(key) != current.get(key):
-            out.append(Violation(
-                "P321",
-                f"service workload '{key}' differs: baseline "
-                f"{baseline.get(key)!r} vs current {current.get(key)!r}",
-                subject="service",
-            ))
-    b = baseline.get("service", {})
-    c = current.get("service", {})
-    for mk in budgets.SERVICE_EXACT_METRICS:
-        if b.get(mk) != c.get(mk):
-            out.append(Violation(
-                "P323",
-                f"service: exact metric {mk} changed from {b.get(mk)!r} "
-                f"to {c.get(mk)!r}",
-                subject="service",
-            ))
-    thr = budgets.PERFGATE_TIMING_THRESHOLD
-    for mk in budgets.SERVICE_TIMING_METRICS:
-        bv, cv = b.get(mk), c.get(mk)
-        if not isinstance(bv, (int, float)) or \
-                not isinstance(cv, (int, float)) or bv <= 0:
-            continue
-        rel = (cv - bv) / bv
-        if rel > thr:
-            out.append(Violation(
-                "P323",
-                f"service: {mk} regressed {rel:+.1%} "
-                f"({bv:.4f}s -> {cv:.4f}s), threshold +{thr:.0%}",
-                subject="service",
-            ))
-    return out
-
-
-# ----------------------------------------------------------------------
-# Frontier work-efficiency gate (P324 / P325)
-# ----------------------------------------------------------------------
 
 def check_frontier_contract(report: dict) -> list[Violation]:
     """Check a fresh ``BENCH_frontier.json`` against the absolute contract.
@@ -1014,81 +906,6 @@ def check_ranges_contract(report: dict) -> list[Violation]:
     return out
 
 
-def compare_ranges_reports(baseline: dict, current: dict) -> list[Violation]:
-    """Diff a fresh ranges report against the committed baseline.
-
-    ``P321`` when the workloads are not comparable; ``P327`` when a
-    deterministic narrowing metric changed.
-    """
-    out: list[Violation] = []
-    for key in budgets.RANGES_MATCH_KEYS:
-        if baseline.get(key) != current.get(key):
-            out.append(Violation(
-                "P321",
-                f"ranges workload '{key}' differs: baseline "
-                f"{baseline.get(key)!r} vs current {current.get(key)!r}",
-                subject="ranges",
-            ))
-    b = baseline.get("ranges", {})
-    c = current.get("ranges", {})
-    for mk in budgets.RANGES_EXACT_METRICS:
-        if b.get(mk) != c.get(mk):
-            out.append(Violation(
-                "P327",
-                f"ranges: exact metric {mk} changed from {b.get(mk)!r} "
-                f"to {c.get(mk)!r}",
-                subject="ranges",
-            ))
-    return out
-
-
-def compare_frontier_reports(baseline: dict, current: dict) -> list[Violation]:
-    """Diff a fresh frontier report against the committed baseline.
-
-    ``P321`` when the workloads are not comparable; ``P325`` when a
-    deterministic metric changed or a wall-clock metric regressed beyond
-    the one-sided threshold.  Improvements never fail.
-    """
-    out: list[Violation] = []
-    for key in budgets.FRONTIER_MATCH_KEYS:
-        if baseline.get(key) != current.get(key):
-            out.append(Violation(
-                "P321",
-                f"frontier workload '{key}' differs: baseline "
-                f"{baseline.get(key)!r} vs current {current.get(key)!r}",
-                subject="frontier",
-            ))
-    b = baseline.get("frontier", {})
-    c = current.get("frontier", {})
-    for mk in budgets.FRONTIER_EXACT_METRICS:
-        if b.get(mk) != c.get(mk):
-            out.append(Violation(
-                "P325",
-                f"frontier: exact metric {mk} changed from {b.get(mk)!r} "
-                f"to {c.get(mk)!r}",
-                subject="frontier",
-            ))
-    thr = budgets.PERFGATE_TIMING_THRESHOLD
-    for mk in budgets.FRONTIER_TIMING_METRICS:
-        bv, cv = b.get(mk), c.get(mk)
-        if not isinstance(bv, (int, float)) or \
-                not isinstance(cv, (int, float)) or bv <= 0:
-            continue
-        rel = (cv - bv) / bv
-        if rel > thr:
-            out.append(Violation(
-                "P325",
-                f"frontier: {mk} regressed {rel:+.1%} "
-                f"({bv:.4f}s -> {cv:.4f}s), threshold +{thr:.0%}",
-                subject="frontier",
-            ))
-    return out
-
-
-# ----------------------------------------------------------------------
-# Multi-device placement gate (P328 / P329)
-# ----------------------------------------------------------------------
-
 def check_placement_contract(report: dict) -> list[Violation]:
     """Check a fresh ``BENCH_placement.json`` against the absolute contract.
 
@@ -1138,47 +955,143 @@ def check_placement_contract(report: dict) -> list[Violation]:
     return out
 
 
-def compare_placement_reports(
-    baseline: dict, current: dict
-) -> list[Violation]:
-    """Diff a fresh placement report against the committed baseline.
+#: Per-engine keys naming the execution paths a perf_smoke row measured;
+#: timings taken on different paths are not comparable (``P321``).
+_EXEC_PATH_KEYS = ("exec_path", "reference_exec_path")
 
-    ``P321`` when the workloads are not comparable; ``P329`` when a
-    deterministic metric (exchange-byte accounting, modeled times)
-    changed or a wall-clock metric regressed beyond the one-sided
-    threshold.  Improvements never fail.
+
+@dataclass(frozen=True)
+class BenchLayer:
+    """One benchmark layer of ``python -m repro perfgate``.
+
+    ``run_bench`` in ``benchmarks/<module>.py`` measures the layer's
+    report; ``contract``, when set, checks it against its absolute floor,
+    and :meth:`diff` compares it with the committed :attr:`baseline`.
+    ``per_engine`` layers gate every row of the report's ``engines``
+    mapping; the others gate the one section named after the layer.
     """
-    out: list[Violation] = []
-    for key in budgets.PLACEMENT_MATCH_KEYS:
-        if baseline.get(key) != current.get(key):
-            out.append(Violation(
-                "P321",
-                f"placement workload '{key}' differs: baseline "
-                f"{baseline.get(key)!r} vs current {current.get(key)!r}",
-                subject="placement",
-            ))
-    b = baseline.get("placement", {})
-    c = current.get("placement", {})
-    for mk in budgets.PLACEMENT_EXACT_METRICS:
-        if b.get(mk) != c.get(mk):
-            out.append(Violation(
-                "P329",
-                f"placement: exact metric {mk} changed from {b.get(mk)!r} "
-                f"to {c.get(mk)!r}",
-                subject="placement",
-            ))
-    thr = budgets.PERFGATE_TIMING_THRESHOLD
-    for mk in budgets.PLACEMENT_TIMING_METRICS:
-        bv, cv = b.get(mk), c.get(mk)
-        if not isinstance(bv, (int, float)) or \
-                not isinstance(cv, (int, float)) or bv <= 0:
-            continue
-        rel = (cv - bv) / bv
-        if rel > thr:
-            out.append(Violation(
-                "P329",
-                f"placement: {mk} regressed {rel:+.1%} "
-                f"({bv:.4f}s -> {cv:.4f}s), threshold +{thr:.0%}",
-                subject="placement",
-            ))
-    return out
+
+    name: str
+    code: str
+    match_keys: tuple[str, ...]
+    exact_metrics: tuple[str, ...]
+    timing_metrics: tuple[str, ...]
+    contract: Callable[[dict], list[Violation]] | None = None
+    per_engine: bool = False
+
+    @property
+    def module(self) -> str:
+        return f"bench_{self.name}"
+
+    @property
+    def baseline(self) -> str:
+        """The committed baseline, relative to the repository root."""
+        return f"benchmarks/baselines/{self.name}.json"
+
+    def rows(self, report: dict) -> dict:
+        """The report's gated rows, by engine or section name."""
+        if self.per_engine:
+            return report.get("engines", {})
+        return {self.name: report.get(self.name, {})}
+
+    def diff(
+        self, baseline: dict, current: dict
+    ) -> tuple[list[Violation], list[Violation]]:
+        """``(hard, timing)`` violations of ``current`` against ``baseline``.
+
+        ``hard`` holds what no re-measurement can clear: ``P321`` when the
+        runs are not comparable (a match key, the engine set, or a row's
+        execution path differs) and :attr:`code` when an exact metric
+        changed.  ``timing`` holds :attr:`code` for every timing metric
+        that regressed beyond the one-sided
+        :data:`~repro.analysis.budgets.PERFGATE_TIMING_THRESHOLD`, which
+        may be machine noise.  Improvements never fail.
+        """
+        def violation(code: str, message: str) -> Violation:
+            return Violation(code, message, subject=self.name)
+
+        hard = [
+            violation("P321", f"{self.name} workload '{key}' differs: "
+                      f"baseline {baseline.get(key)!r} vs current "
+                      f"{current.get(key)!r}")
+            for key in self.match_keys
+            if baseline.get(key) != current.get(key)
+        ]
+        timing = []
+        brows, crows = self.rows(baseline), self.rows(current)
+        if set(brows) != set(crows):
+            hard.append(violation(
+                "P321", f"engine sets differ: baseline {sorted(brows)} vs "
+                f"current {sorted(crows)}"))
+        thr = budgets.PERFGATE_TIMING_THRESHOLD
+        for name in sorted(set(brows) & set(crows)):
+            b, c = brows[name], crows[name]
+            for pk in _EXEC_PATH_KEYS if self.per_engine else ():
+                if b.get(pk) != c.get(pk):
+                    hard.append(violation(
+                        "P321", f"{name}: {pk} differs (baseline "
+                        f"{b.get(pk)!r} vs current {c.get(pk)!r}); refusing "
+                        "to compare timings across execution paths"))
+            for mk in self.exact_metrics:
+                if b.get(mk) != c.get(mk):
+                    hard.append(violation(
+                        self.code, f"{name}: exact metric {mk} changed from "
+                        f"{b.get(mk)!r} to {c.get(mk)!r}"))
+            for mk in self.timing_metrics:
+                bv, cv = b.get(mk), c.get(mk)
+                if not isinstance(bv, (int, float)) or \
+                        not isinstance(cv, (int, float)) or bv <= 0:
+                    continue
+                rel = (cv - bv) / bv
+                if rel > thr:
+                    timing.append(violation(
+                        self.code, f"{name}: {mk} regressed {rel:+.1%} "
+                        f"({bv:.4f}s -> {cv:.4f}s), threshold +{thr:.0%}"))
+        return hard, timing
+
+    def fold(self, a: dict, b: dict, fn: Callable) -> dict:
+        """Report ``a`` with every timing metric folded with ``b``'s by
+        ``fn``.  Exact metrics keep ``a``'s values: a re-measurement must
+        never launder a behavioural change.
+
+        The gate's retries fold with ``min`` (the fastest honestly
+        observed run); ``--rebaseline`` folds with ``max``, so a committed
+        baseline is a speed reproducible across runs, not one lucky
+        sample.
+        """
+        out = copy.deepcopy(a)
+        other = self.rows(b)
+        for name, row in self.rows(out).items():
+            for mk in self.timing_metrics:
+                x, y = row.get(mk), other.get(name, {}).get(mk)
+                if isinstance(x, (int, float)) and isinstance(y, (int, float)):
+                    row[mk] = fn(x, y)
+        return out
+
+
+#: The benchmark layers ``python -m repro perfgate`` runs, in order, with
+#: the drift code each one reports.
+BENCH_LAYERS: dict[str, BenchLayer] = {layer.name: layer for layer in (
+    BenchLayer("perf_smoke", "P320", budgets.PERFGATE_MATCH_KEYS,
+               budgets.PERFGATE_EXACT_METRICS,
+               budgets.PERFGATE_TIMING_METRICS, per_engine=True),
+    BenchLayer("service", "P323", budgets.SERVICE_MATCH_KEYS,
+               budgets.SERVICE_EXACT_METRICS,
+               budgets.SERVICE_TIMING_METRICS, check_service_contract),
+    BenchLayer("frontier", "P325", budgets.FRONTIER_MATCH_KEYS,
+               budgets.FRONTIER_EXACT_METRICS,
+               budgets.FRONTIER_TIMING_METRICS, check_frontier_contract),
+    BenchLayer("ranges", "P327", budgets.RANGES_MATCH_KEYS,
+               budgets.RANGES_EXACT_METRICS, (), check_ranges_contract),
+    BenchLayer("placement", "P329", budgets.PLACEMENT_MATCH_KEYS,
+               budgets.PLACEMENT_EXACT_METRICS,
+               budgets.PLACEMENT_TIMING_METRICS, check_placement_contract),
+)}
+
+
+def compare_reports(layer: str, baseline: dict, current: dict
+                    ) -> list[Violation]:
+    """Every violation of a fresh ``layer`` report against its baseline
+    (see :meth:`BenchLayer.diff`)."""
+    hard, timing = BENCH_LAYERS[layer].diff(baseline, current)
+    return hard + timing

@@ -454,37 +454,37 @@ class TestFrontierGate:
         assert [v.code for v in check_frontier_contract(report)] == ["P324"]
 
     def test_compare_identical_passes(self):
-        from repro.analysis.perf import compare_frontier_reports
+        from repro.analysis.perf import compare_reports
 
-        assert compare_frontier_reports(self._report(), self._report()) == []
+        assert compare_reports("frontier", self._report(), self._report()) == []
 
     def test_compare_flags_exact_metric_change(self):
-        from repro.analysis.perf import compare_frontier_reports
+        from repro.analysis.perf import compare_reports
 
         current = self._report(shards_skipped=19_000)
-        violations = compare_frontier_reports(self._report(), current)
+        violations = compare_reports("frontier", self._report(), current)
         assert [v.code for v in violations] == ["P325"]
 
     def test_compare_flags_wall_regression(self):
-        from repro.analysis.perf import compare_frontier_reports
+        from repro.analysis.perf import compare_reports
 
         current = self._report(sparse_wall_min_s=0.5)
         assert "P325" in [
             v.code
-            for v in compare_frontier_reports(self._report(), current)
+            for v in compare_reports("frontier", self._report(), current)
         ]
 
     def test_compare_tolerates_improvement(self):
-        from repro.analysis.perf import compare_frontier_reports
+        from repro.analysis.perf import compare_reports
 
         current = self._report(sparse_wall_min_s=0.01,
                                full_wall_min_s=0.01)
-        assert compare_frontier_reports(self._report(), current) == []
+        assert compare_reports("frontier", self._report(), current) == []
 
     def test_compare_flags_workload_mismatch(self):
-        from repro.analysis.perf import compare_frontier_reports
+        from repro.analysis.perf import compare_reports
 
         current = self._report()
         current["engine"] = "cusha-gs"
-        violations = compare_frontier_reports(self._report(), current)
+        violations = compare_reports("frontier", self._report(), current)
         assert "P321" in [v.code for v in violations]

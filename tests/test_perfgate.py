@@ -1,11 +1,13 @@
-"""Benchmark-gate tests: `compare_bench_reports` semantics and the
-``python -m repro perfgate`` / ``python -m repro check --format json``
-command-line surface."""
+"""Benchmark-gate tests: `compare_reports` semantics on the perf-smoke
+layer and the ``python -m repro perfgate`` / ``python -m repro check
+--format json`` command-line surface."""
 
 import copy
 import json
 
-from repro.analysis.perf import compare_bench_reports
+from repro.analysis.budgets import PERFGATE_TIMING_THRESHOLD
+from repro.analysis.perf import (check_placement_contract,
+                                 check_ranges_contract, compare_reports)
 from repro.cli import main
 
 
@@ -39,65 +41,65 @@ def make_report() -> dict:
 
 class TestCompareBenchReports:
     def test_identical_reports_pass(self):
-        assert compare_bench_reports(make_report(), make_report()) == []
+        assert compare_reports("perf_smoke", make_report(), make_report()) == []
 
     def test_injected_slowdown_fires_p320(self):
         current = make_report()
         current["engines"]["cusha-cw"]["fast_min_s"] *= 1.15
-        violations = compare_bench_reports(make_report(), current)
+        violations = compare_reports("perf_smoke", make_report(), current)
         assert {v.code for v in violations} == {"P320"}
         assert any("fast_min_s" in v.message for v in violations)
 
     def test_slowdown_within_threshold_passes(self):
         current = make_report()
         current["engines"]["cusha-cw"]["fast_min_s"] *= 1.05
-        assert compare_bench_reports(make_report(), current) == []
+        assert compare_reports("perf_smoke", make_report(), current) == []
 
     def test_improvement_never_fails(self):
         current = make_report()
         for row in current["engines"].values():
             row["fast_min_s"] *= 0.5
             row["reference_min_s"] *= 0.5
-        assert compare_bench_reports(make_report(), current) == []
+        assert compare_reports("perf_smoke", make_report(), current) == []
 
     def test_exec_path_mismatch_fires_p321(self):
         current = make_report()
         current["engines"]["cusha-cw"]["exec_path"] = "reference"
-        violations = compare_bench_reports(make_report(), current)
+        violations = compare_reports("perf_smoke", make_report(), current)
         assert any(v.code == "P321" and "exec_path" in v.message
                    for v in violations)
 
     def test_run_configuration_mismatch_fires_p321(self):
         current = make_report()
         current["program"] = "bfs"
-        violations = compare_bench_reports(make_report(), current)
+        violations = compare_reports("perf_smoke", make_report(), current)
         assert any(v.code == "P321" and "program" in v.message
                    for v in violations)
 
     def test_engine_set_mismatch_fires_p321(self):
         current = make_report()
         del current["engines"]["vwc-8"]
-        violations = compare_bench_reports(make_report(), current)
+        violations = compare_reports("perf_smoke", make_report(), current)
         assert any(v.code == "P321" for v in violations)
 
     def test_exact_metric_change_fires_p320(self):
         current = make_report()
         current["engines"]["vwc-8"]["iterations"] = 41
-        violations = compare_bench_reports(make_report(), current)
+        violations = compare_reports("perf_smoke", make_report(), current)
         assert {v.code for v in violations} == {"P320"}
         assert any("iterations" in v.message for v in violations)
 
     def test_cache_behaviour_change_fires_p320(self):
         current = make_report()
         current["engines"]["cusha-cw"]["cache_hits_per_run"] = 0
-        violations = compare_bench_reports(make_report(), current)
+        violations = compare_reports("perf_smoke", make_report(), current)
         assert any(v.code == "P320" and "cache_hits_per_run" in v.message
                    for v in violations)
 
     def test_cold_cache_time_is_not_gated(self):
         current = make_report()
         current["engines"]["cusha-cw"]["cold_cache_s"] *= 10
-        assert compare_bench_reports(make_report(), current) == []
+        assert compare_reports("perf_smoke", make_report(), current) == []
 
 
 class TestPerfgateCommand:
@@ -205,3 +207,148 @@ class TestCheckJsonFormat:
         assert payload["selftest"]["fixtures"] == 48
         assert payload["selftest"]["failed"] == 0
         assert payload["selftest"]["distinct_codes"] == 53
+
+
+class TestRangesGate:
+    """The P326/P327 gate over synthetic reports shaped like
+    ``benchmarks/bench_ranges.py`` output."""
+
+    @staticmethod
+    def _report(**ranges):
+        base = {
+            "graph": {"generator": "rmat", "vertices": 1024, "edges": 8192,
+                      "seed": 5, "weight_seed": 9},
+            "program": "bfs", "engine": "cusha-cw", "max_iterations": 50,
+            "ranges": {
+                "bit_exact": True, "iterations": 6,
+                "narrowed_fields": ["level:uint16"],
+                "vertex_bytes_off": 4, "vertex_bytes_auto": 2,
+                "bytes_off": 798_240, "bytes_auto": 614_832,
+                "byte_reduction": 0.2298,
+            },
+        }
+        base["ranges"].update(ranges)
+        return base
+
+    def test_contract_passes(self):
+        assert check_ranges_contract(self._report()) == []
+
+    def test_contract_fails_below_byte_reduction_floor(self):
+        violations = check_ranges_contract(self._report(byte_reduction=0.1))
+        assert [v.code for v in violations] == ["P326"]
+        assert "20%" in violations[0].message
+
+    def test_contract_fails_when_reduction_missing(self):
+        report = self._report()
+        del report["ranges"]["byte_reduction"]
+        assert [v.code for v in check_ranges_contract(report)] == ["P326"]
+
+    def test_contract_fails_without_bit_exactness(self):
+        violations = check_ranges_contract(self._report(bit_exact=False))
+        assert [v.code for v in violations] == ["P326"]
+
+    def test_contract_fails_when_nothing_narrowed(self):
+        violations = check_ranges_contract(self._report(narrowed_fields=[]))
+        assert [v.code for v in violations] == ["P326"]
+
+    def test_compare_identical_passes(self):
+        assert compare_reports("ranges", self._report(), self._report()) == []
+
+    def test_compare_flags_exact_drift(self):
+        for metric, value in (("bytes_auto", 614_833),
+                              ("narrowed_fields", ["level:uint8"])):
+            violations = compare_reports(
+                "ranges", self._report(), self._report(**{metric: value}))
+            assert [v.code for v in violations] == ["P327"]
+            assert metric in violations[0].message
+
+    def test_compare_flags_workload_mismatch(self):
+        current = self._report()
+        current["engine"] = "cusha-gs"
+        assert [v.code for v in compare_reports(
+            "ranges", self._report(), current)] == ["P321"]
+
+
+class TestPlacementGate:
+    """The P328/P329 gate over synthetic reports shaped like
+    ``benchmarks/bench_placement.py`` output."""
+
+    @staticmethod
+    def _report(**placement):
+        base = {
+            "graph": {"generator": "road_network", "rows": 4000, "cols": 32,
+                      "shortcut_fraction": 0.01, "seed": 11,
+                      "weight_seed": 8},
+            "program": "sssp", "engine": "cusha-cw",
+            "vertices_per_shard": 256, "devices": 4, "max_iterations": 50,
+            "repeats": 3,
+            "placement": {
+                "bit_exact": True, "iterations": 44, "devices": 4,
+                "exchange_bytes": 704_028, "exchange_ms": 0.4887,
+                "single_model_ms": 3.5394, "multi_model_ms": 2.2213,
+                "model_speedup": 1.59,
+                "single_wall_min_s": 0.2805, "multi_wall_min_s": 0.2821,
+            },
+        }
+        base["placement"].update(placement)
+        return base
+
+    def test_contract_passes(self):
+        assert check_placement_contract(self._report()) == []
+
+    def test_contract_fails_below_speedup_floor(self):
+        violations = check_placement_contract(
+            self._report(model_speedup=1.2))
+        assert [v.code for v in violations] == ["P328"]
+        assert "1.3x" in violations[0].message
+
+    def test_contract_fails_when_speedup_missing(self):
+        report = self._report()
+        del report["placement"]["model_speedup"]
+        assert [v.code for v in check_placement_contract(report)] == ["P328"]
+
+    def test_contract_fails_without_bit_exactness(self):
+        violations = check_placement_contract(self._report(bit_exact=False))
+        assert [v.code for v in violations] == ["P328"]
+
+    def test_contract_fails_without_exchange(self):
+        for exchange in (0, None, 1.5):
+            violations = check_placement_contract(
+                self._report(exchange_bytes=exchange))
+            assert [v.code for v in violations] == ["P328"]
+
+    def test_compare_identical_passes(self):
+        assert compare_reports(
+            "placement", self._report(), self._report()) == []
+
+    def test_compare_flags_exact_drift(self):
+        violations = compare_reports(
+            "placement", self._report(), self._report(exchange_bytes=704_000))
+        assert [v.code for v in violations] == ["P329"]
+        assert "exchange_bytes" in violations[0].message
+
+    def test_compare_flags_wall_drift(self):
+        violations = compare_reports(
+            "placement", self._report(),
+            self._report(multi_wall_min_s=0.2821 * 1.2))
+        assert [v.code for v in violations] == ["P329"]
+        assert "multi_wall_min_s" in violations[0].message
+
+    def test_compare_tolerates_noise_and_improvement(self):
+        wiggle = 1.0 + PERFGATE_TIMING_THRESHOLD / 2
+        for current in (self._report(multi_wall_min_s=0.2821 * wiggle),
+                        self._report(single_wall_min_s=0.01)):
+            assert compare_reports(
+                "placement", self._report(), current) == []
+
+    def test_compare_ignores_ungated_wall_fields(self):
+        # exchange_ms is reported but neither exact nor timing-gated.
+        assert compare_reports(
+            "placement", self._report(),
+            self._report(exchange_ms=9.9)) == []
+
+    def test_compare_flags_device_count_mismatch(self):
+        current = self._report()
+        current["devices"] = 2
+        assert "P321" in [v.code for v in compare_reports(
+            "placement", self._report(), current)]

@@ -221,35 +221,35 @@ class TestServiceGateContracts:
         assert [v.code for v in check_service_contract(report)] == ["P322"]
 
     def test_compare_flags_exact_metric_change(self):
-        from repro.analysis.perf import compare_service_reports
+        from repro.analysis.perf import compare_reports
 
         current = self._report(iterations=25)
-        violations = compare_service_reports(self._report(), current)
+        violations = compare_reports("service", self._report(), current)
         assert [v.code for v in violations] == ["P323"]
 
     def test_compare_flags_wall_regression(self):
-        from repro.analysis.perf import compare_service_reports
+        from repro.analysis.perf import compare_reports
 
         current = self._report(batched_wall_min_s=0.2)
         assert "P323" in [
             v.code
-            for v in compare_service_reports(self._report(), current)
+            for v in compare_reports("service", self._report(), current)
         ]
 
     def test_compare_tolerates_noise(self):
         from repro.analysis.budgets import PERFGATE_TIMING_THRESHOLD
-        from repro.analysis.perf import compare_service_reports
+        from repro.analysis.perf import compare_reports
 
         wiggle = 1.0 + PERFGATE_TIMING_THRESHOLD / 2
         current = self._report(batched_wall_min_s=0.05 * wiggle)
-        assert compare_service_reports(self._report(), current) == []
+        assert compare_reports("service", self._report(), current) == []
 
     def test_compare_flags_incomparable_workloads(self):
-        from repro.analysis.perf import compare_service_reports
+        from repro.analysis.perf import compare_reports
 
         current = self._report()
         current["sources"] = 16
         assert "P321" in [
             v.code
-            for v in compare_service_reports(self._report(), current)
+            for v in compare_reports("service", self._report(), current)
         ]
