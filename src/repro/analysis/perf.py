@@ -314,12 +314,14 @@ def static_predictions(
     sbytes = program.static_value_bytes
     ebytes = program.edge_value_bytes
     if isinstance(engine, CuShaEngine):
-        (cw,) = engine.preflight_representations(graph, program, cfg)
+        (cw,) = engine.preflight_representations(
+            graph, program, cfg, engine.run_cache(graph, cfg))
         return predict_cusha_stages(
             cw, engine.mode, vbytes=vbytes, sbytes=sbytes, ebytes=ebytes,
             warp=engine.spec.warp_size)
     if isinstance(engine, StreamedCuShaEngine):
-        (cw,) = engine.preflight_representations(graph, program, cfg)
+        (cw,) = engine.preflight_representations(
+            graph, program, cfg, engine.run_cache(graph, cfg))
         entry_bytes = 4 + vbytes + sbytes + ebytes + 4 + 4
         chunks = engine._chunk_shards(cw, entry_bytes)
         return predict_streamed_chunks(
@@ -495,7 +497,7 @@ def audit_cw(
 
 
 def perf_audit(
-    engine, graph, program, config: RunConfig | None = None
+    engine, graph, program, config: RunConfig | None = None, cache=None
 ) -> list[Violation]:
     """Layer-1 static audit behind ``RunConfig(validate="perf")``.
 
@@ -504,16 +506,20 @@ def perf_audit(
     performance contract (``P301``-``P308``).  A ``narrow != "off"``
     config additionally re-prices the sweep at the proven narrowed
     widths (``P309``).  Engines that model no GPU hardware only get the
-    cost-contract check.
+    cost-contract check.  The representations come through ``cache``,
+    the run's :class:`~repro.cache.RunCache` (a fresh
+    :meth:`Engine.run_cache` when not given).
     """
     cfg = config or RunConfig()
     out = cost_contract_check()
     spec = getattr(engine, "spec", None)
     if spec is None or not hasattr(spec, "warp_size"):
         return out
+    if cache is None:
+        cache = engine.run_cache(graph, cfg)
     tpb = getattr(engine, "threads_per_block", 512)
     subject = f"{engine.name}/{program.name}"
-    for rep in engine.preflight_representations(graph, program, cfg):
+    for rep in engine.preflight_representations(graph, program, cfg, cache):
         if isinstance(rep, ConcatenatedWindows):
             cw = rep
         elif isinstance(rep, GShards):
@@ -530,12 +536,12 @@ def perf_audit(
             subject=subject,
         ))
     if getattr(cfg, "narrow", "off") != "off":
-        out.extend(narrowed_audit(engine, graph, program, cfg))
+        out.extend(narrowed_audit(engine, graph, program, cfg, cache))
     return out
 
 
 def narrowed_audit(
-    engine, graph, program, config: RunConfig | None = None
+    engine, graph, program, config: RunConfig | None = None, cache=None
 ) -> list[Violation]:
     """``P309``: static predictions at proven narrowed widths stay exact.
 
@@ -554,8 +560,10 @@ def narrowed_audit(
     if spec is None or not hasattr(spec, "warp_size"):
         return out
     cfg = config or RunConfig()
+    if cache is None:
+        cache = engine.run_cache(graph, cfg)
     subject = f"{engine.name}/{program.name}"
-    cert = analyze_ranges(program, graph, cache=getattr(engine, "cache", None))
+    cert = analyze_ranges(program, graph, cache=cache)
     plan = narrowing_plan(cert, program)
     if not plan:
         return out
@@ -576,7 +584,7 @@ def narrowed_audit(
     ebytes = narrowed.edge_value_bytes
     warp = spec.warp_size
     from repro.frameworks.wavebatch import cusha_static_bundle, stats_from_row
-    for rep in engine.preflight_representations(graph, program, cfg):
+    for rep in engine.preflight_representations(graph, program, cfg, cache):
         if isinstance(rep, ConcatenatedWindows):
             cw = rep
         elif isinstance(rep, GShards):

@@ -41,10 +41,20 @@ VALIDATE_LEVELS = ("off", "structure", "full", "perf")
 _RACE_ITERATIONS = 2
 
 
-def collect_violations(engine, graph, program, config) -> list[Violation]:
-    """Every violation the configured ``validate`` level surfaces."""
+def collect_violations(
+    engine, graph, program, config, cache=None
+) -> list[Violation]:
+    """Every violation the configured ``validate`` level surfaces.
+
+    ``cache`` is the run's :class:`~repro.cache.RunCache`, which serves
+    every representation and certificate lookup; without one, a fresh
+    :meth:`Engine.run_cache` does.
+    """
+    if cache is None:
+        cache = engine.run_cache(graph, config)
     out = lint_program(program)
-    for rep in engine.preflight_representations(graph, program, config):
+    for rep in engine.preflight_representations(graph, program, config,
+                                                cache):
         out.extend(validate_structure(rep))
     if config.validate == "full":
         out.extend(
@@ -60,7 +70,7 @@ def collect_violations(engine, graph, program, config) -> list[Violation]:
         # the lint/invariant levels do not need.
         from repro.analysis.perf import perf_audit
 
-        out.extend(perf_audit(engine, graph, program, config))
+        out.extend(perf_audit(engine, graph, program, config, cache))
     if getattr(config, "certify", "off") != "off":
         # Kernel certificates surface as warnings here so `repro check`
         # and validated runs report them; *enforcement* (refusing or
@@ -68,9 +78,7 @@ def collect_violations(engine, graph, program, config) -> list[Violation]:
         # :func:`repro.analysis.certify.runtime_gate`.
         from repro.analysis.certify import certify_violations
 
-        out.extend(
-            certify_violations(program, cache=getattr(engine, "cache", None))
-        )
+        out.extend(certify_violations(program, cache=cache))
     if getattr(config, "narrow", "off") != "off":
         # Narrowing consults the range certificates; surface their
         # verdicts here so a validated narrow="auto" run reports what the
@@ -78,11 +86,7 @@ def collect_violations(engine, graph, program, config) -> list[Violation]:
         # simply declines to narrow unproven fields).
         from repro.analysis.ranges import ranges_violations
 
-        out.extend(
-            ranges_violations(
-                program, graph, cache=getattr(engine, "cache", None)
-            )
-        )
+        out.extend(ranges_violations(program, graph, cache=cache))
     return out
 
 
@@ -98,13 +102,14 @@ def publish_violations(metrics, violations: list[Violation]) -> None:
         metrics.counter(f"analysis.violations.{v.kind}").inc()
 
 
-def preflight(engine, graph, program, config) -> list[Violation]:
+def preflight(engine, graph, program, config, cache=None) -> list[Violation]:
     """Gate one engine run; returns the (non-fatal) violations.
 
     Raises :class:`ValidationError` when any *error*-severity violation is
-    found; warnings are published to telemetry and returned.
+    found; warnings are published to telemetry and returned.  ``cache``
+    is the run's :class:`~repro.cache.RunCache`.
     """
-    violations = collect_violations(engine, graph, program, config)
+    violations = collect_violations(engine, graph, program, config, cache)
     publish_violations(config.tracer.metrics, violations)
     errors = [v for v in violations if v.severity == "error"]
     if errors:

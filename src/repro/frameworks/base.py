@@ -94,8 +94,9 @@ class FaultHooks:
     def values(self, engine: str, iteration: int, values: np.ndarray) -> None:
         """Hook after iteration ``iteration`` with the live VertexValues."""
 
-    def representations(self, engine, graph, program, config) -> None:
-        """Hook over the representations a run is about to execute."""
+    def representations(self, engine, graph, program, config, cache) -> None:
+        """Hook over the representations a run is about to execute,
+        looked up through the run's ``cache``."""
 
     def device(
         self, engine: str, iteration: int, exec_path: str, placement
@@ -455,18 +456,15 @@ class Engine(ABC):
                 f"{len(config.resume_frontier)} entries for a graph with "
                 f"{graph.num_vertices} vertices"
             )
+        # One cache view serves the preflight, the gates and the engine,
+        # so a run hashes its graph once and counts every lookup it makes.
+        cache = self.run_cache(graph, config)
         if config.validate != "off":
             # Imported here: repro.analysis depends on the graph and
             # vertexcentric layers, and must stay optional on the hot path.
             from repro.analysis.preflight import preflight
 
-            preflight(self, graph, program, config)
-        # One cache view serves the gates and the engine, so a run hashes
-        # its graph once and counts every lookup it makes.  The reference
-        # path never consults the cache, keeping the equivalence baseline
-        # free of memoization.
-        cache = RunCache(graph, False if config.exec_path == "reference"
-                         else getattr(self, "cache", None))
+            preflight(self, graph, program, config, cache)
         if config.certify != "off":
             # The kernel certifier gates the fast paths that silently
             # assume the program's algebra (frontier sweeps, async
@@ -486,7 +484,7 @@ class Engine(ABC):
                 self, graph, program, config, cache=cache
             )
         if config.faults.active:
-            config.faults.representations(self, graph, program, config)
+            config.faults.representations(self, graph, program, config, cache)
         result = self._run(graph, program, config, cache)
         if widen_back is not None:
             result.values = widen_back(result.values)
@@ -500,15 +498,26 @@ class Engine(ABC):
         """Engine-specific execution under a normalized :class:`RunConfig`,
         looking up representations through the run's ``cache``."""
 
+    def run_cache(self, graph: DiGraph, config: RunConfig) -> RunCache:
+        """A fresh view of this engine's cache for one run of ``graph``.
+
+        The reference path never consults the cache, keeping the
+        equivalence baseline free of memoization.
+        """
+        return RunCache(graph, False if config.exec_path == "reference"
+                        else getattr(self, "cache", None))
+
     def preflight_representations(
-        self, graph: DiGraph, program: VertexProgram, config: RunConfig
+        self, graph: DiGraph, program: VertexProgram, config: RunConfig,
+        cache: RunCache,
     ) -> tuple:
         """Representations a validation-enabled run structurally checks.
 
         Engines override this to expose the structures their :meth:`_run`
-        is about to execute over (ideally built through the same
-        representation cache, so the preflight warms rather than
-        duplicates the build).  The default reports none.
+        is about to execute over, looked up through the run's ``cache``
+        (see :meth:`run_cache`), so the preflight warms rather than
+        duplicates the build and hashes no graph the run does not.  The
+        default reports none.
         """
         return ()
 

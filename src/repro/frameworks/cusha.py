@@ -217,12 +217,13 @@ class CuShaEngine(DrivenEngine):
         )
 
     def preflight_representations(
-        self, graph: DiGraph, program: VertexProgram, config: RunConfig
+        self, graph: DiGraph, program: VertexProgram, config: RunConfig,
+        cache: RunCache,
     ) -> tuple:
         """The CW structure (and through it the shards) this run executes
         over, built via the same cache key the run uses."""
         N = self._choose_shard_size(graph, program)
-        return (concatenated_windows(graph, N, RunCache(graph, self.cache)),)
+        return (concatenated_windows(graph, N, cache),)
 
     def predicted_stage_stats(
         self, graph: DiGraph, program: VertexProgram

@@ -260,9 +260,10 @@ class RangeProbeHooks(FaultHooks):
         if self._inner.active:
             self._inner.kernel(engine, iteration, exec_path)
 
-    def representations(self, engine, graph, program, config) -> None:
+    def representations(self, engine, graph, program, config, cache) -> None:
         if self._inner.active:
-            self._inner.representations(engine, graph, program, config)
+            self._inner.representations(engine, graph, program, config,
+                                        cache)
 
     def values(self, engine, iteration, values) -> None:
         if self._inner.active:

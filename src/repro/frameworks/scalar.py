@@ -46,7 +46,8 @@ class ScalarReferenceEngine(Engine):
         self.vertices_per_shard = vertices_per_shard
 
     def preflight_representations(
-        self, graph: DiGraph, program: VertexProgram, config: RunConfig
+        self, graph: DiGraph, program: VertexProgram, config: RunConfig,
+        cache: RunCache,
     ) -> tuple:
         """The G-Shards structure the reference loop walks."""
         return (GShards(graph, self.vertices_per_shard),)

@@ -169,10 +169,11 @@ class StreamedCuShaEngine(DrivenEngine):
 
     # ------------------------------------------------------------------
     def preflight_representations(
-        self, graph: DiGraph, program: VertexProgram, config: RunConfig
+        self, graph: DiGraph, program: VertexProgram, config: RunConfig,
+        cache: RunCache,
     ) -> tuple:
         """The CW structure the streamed run chunks, via the shared cache."""
-        return (self._windows(graph, program, RunCache(graph, self.cache)),)
+        return (self._windows(graph, program, cache),)
 
     def predicted_stage_stats(
         self, graph: DiGraph, program: VertexProgram

@@ -274,11 +274,11 @@ class VWCEngine(DrivenEngine):
                 program.static_value_bytes, program.edge_value_bytes)
 
     def preflight_representations(
-        self, graph: DiGraph, program: VertexProgram, config: RunConfig
+        self, graph: DiGraph, program: VertexProgram, config: RunConfig,
+        cache: RunCache,
     ) -> tuple:
         """The CSR this run iterates, via the same cache key the run uses."""
-        cache = False if config.exec_path == "reference" else self.cache
-        return (cached_csr(graph, RunCache(graph, cache)),)
+        return (cached_csr(graph, cache),)
 
     def predicted_stage_stats(
         self, graph: DiGraph, program: VertexProgram

@@ -290,11 +290,11 @@ class FaultPlan(FaultHooks):
             iteration=iteration, iterations_completed=iteration - 1,
         )
 
-    def representations(self, engine, graph, program, config) -> None:
+    def representations(self, engine, graph, program, config, cache) -> None:
         i = self._match("bitflip-representation", engine.name)
         if i is None:
             return
-        reps = engine.preflight_representations(graph, program, config)
+        reps = engine.preflight_representations(graph, program, config, cache)
         if not reps:
             return  # engine exposes no device representation to corrupt
         spec = self._consume(i, engine.name, "representation", 0)

@@ -182,6 +182,35 @@ class TestOverlaySetUp:
         assert warm.total_ms == cold.total_ms
         assert warm.exchange_bytes == cold.exchange_bytes > 0
 
+    @pytest.mark.parametrize("gates", [{}, {"certify": "warn",
+                                            "narrow": "auto"}])
+    @pytest.mark.parametrize("validate", ["structure", "perf"])
+    @pytest.mark.parametrize("engine_key",
+                             ["cusha-cw", "cusha-streamed", "vwc-8"])
+    def test_warm_validated_run_hashes_once(self, engine_key, validate,
+                                            gates, monkeypatch):
+        # The preflight looks its representations and certificates up
+        # through the run's cache, so validation adds no graph hash and
+        # its lookups count as the run's.
+        g = rmat(512, 2048, seed=7)
+        cache = RepresentationCache()
+        engine = make_engine(engine_key, cache=cache, **ENGINES[engine_key])
+        config = RunConfig(validate=validate, **gates)
+        h0, m0 = cache.counters()
+        cold = engine.run(g, make_program("cc", g), config=config)
+        h1, m1 = cache.counters()
+        assert (cold.cache_hits, cold.cache_misses) == (h1 - h0, m1 - m0)
+
+        calls = _Calls(monkeypatch)
+        calls.count("fingerprint", [repro.cache], "graph_fingerprint")
+        warm = engine.run(g, make_program("cc", g), config=config)
+
+        assert calls.n == {"fingerprint": 1}
+        assert warm.cache_misses == 0
+        assert (warm.cache_hits, 0) == tuple(
+            a - b for a, b in zip(cache.counters(), (h1, m1)))
+        assert warm.values.tobytes() == cold.values.tobytes()
+
     def test_single_device_never_counts_remote_units(self, monkeypatch):
         calls = _Calls(monkeypatch)
         calls.count("remote", [repro.placement, repro.frameworks.driver],
