@@ -106,6 +106,39 @@ class TestPackageMetadata:
 
         assert repro.__version__ == "1.10.0"
 
+    def test_pyproject_version_matches_package(self):
+        import repro
+
+        text = (ROOT / "pyproject.toml").read_text()
+        project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+        match = re.search(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE)
+        assert match, "pyproject.toml [project] has no version"
+        assert match.group(1) == repro.__version__
+
+    def test_api_doc_cli_block_matches_the_parser(self):
+        """docs/api.md lists every subcommand with every option it takes,
+        and no option the parser does not have."""
+        import argparse
+
+        from repro.cli import build_parser
+
+        text = (ROOT / "docs" / "api.md").read_text()
+        block = text.split("## CLI", 1)[1].split("```")[1]
+        lines = {}
+        for line in block.strip().splitlines():
+            m = re.match(r"python -m repro (\w+)", line)
+            if m:
+                name = m.group(1)
+            lines.setdefault(name, []).append(line)
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(lines) == set(sub.choices)
+        for name, parser in sub.choices.items():
+            documented = set(re.findall(r"--[\w-]+", " ".join(lines[name])))
+            options = {s for a in parser._actions for s in a.option_strings
+                       if s.startswith("--") and s != "--help"}
+            assert documented == options, name
+
     def test_all_exports_resolve(self):
         import repro
 
